@@ -14,7 +14,7 @@
 //! `benches/micro.rs` contains the Criterion micro-benchmarks (safety-kernel
 //! cycle, validity combination, fusion, TDMA slot handling, event publication)
 //! and `benches/e16_campaign_throughput.rs` tracks the experiment pipeline's
-//! own throughput (calendar-queue event core, chunked campaign runner,
+//! own throughput (event queue and periodic trains, chunked campaign runner,
 //! checkpoint overhead), emitting `BENCH_campaign.json` at the workspace
 //! root.
 //!

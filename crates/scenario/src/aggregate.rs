@@ -62,12 +62,16 @@ pub(crate) enum QuantileAcc {
 /// of the not-yet-seen tail usually still land inside.  Outliers beyond the
 /// range are still counted exactly (under/overflow buckets with exact
 /// min/max representatives).
+///
+/// The padded bounds are clamped to the finite `f64` range, so samples at
+/// the edge of it (a metric reporting `f64::MAX` for "never happened") still
+/// give a finite, non-empty range.
 fn derived_range(values: &[f64]) -> (f64, f64) {
     let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
     let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
     let span = hi - lo;
     let pad = if span > 0.0 { span / 2.0 } else { lo.abs().max(1.0) / 2.0 };
-    (lo - pad, hi + pad)
+    ((lo - pad).max(f64::MIN), (hi + pad).min(f64::MAX))
 }
 
 /// The streaming aggregate of one metric at one parameter point: mean /
@@ -347,6 +351,22 @@ mod tests {
     /// Values for a synthetic metric stream.
     fn value(i: u64) -> f64 {
         ((i as f64) * 0.73).sin() * 40.0 + 50.0
+    }
+
+    #[test]
+    fn derived_ranges_stay_finite_at_the_edges_of_f64() {
+        for values in [
+            vec![f64::MAX],
+            vec![f64::MIN],
+            vec![f64::MIN, f64::MAX],
+            vec![0.0, f64::MAX],
+            vec![5.0],
+            vec![-1e300, 1e300],
+        ] {
+            let (lo, hi) = derived_range(&values);
+            assert!(lo.is_finite() && hi.is_finite() && lo < hi, "{values:?} -> ({lo}, {hi})");
+            BucketHistogram::new(lo, hi, QUANTILE_BUCKETS);
+        }
     }
 
     #[test]

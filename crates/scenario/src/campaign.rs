@@ -251,6 +251,24 @@ struct ChunkOutput {
     worker: usize,
 }
 
+/// Raises the abort flag and wakes the gate if the collector unwinds.  A
+/// panic in the merge or in a [`RunSink`] would otherwise leave workers
+/// blocked in [`ChunkGate::claim`] at a full window, and `thread::scope`
+/// would wait for them forever instead of propagating the panic.
+struct AbortOnUnwind<'a> {
+    gate: &'a ChunkGate,
+    abort: &'a AtomicBool,
+}
+
+impl Drop for AbortOnUnwind<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.abort.store(true, Ordering::Relaxed);
+            self.gate.wake_all();
+        }
+    }
+}
+
 /// Claim/merge coordination: workers may only claim a chunk while it is
 /// within the in-flight window above the merge floor, which is what bounds
 /// the memory the collector can ever have to buffer.
@@ -290,8 +308,11 @@ impl ChunkGate {
         self.ready.notify_all();
     }
 
-    /// Wakes every waiting worker (used when aborting).
+    /// Wakes every waiting worker (used when aborting).  Taking the lock
+    /// first means a worker between its abort check and its wait cannot miss
+    /// the wakeup.
     fn wake_all(&self) {
+        drop(self.state.lock());
         self.ready.notify_all();
     }
 
@@ -979,6 +1000,7 @@ impl Campaign {
                 });
             }
             drop(tx);
+            let _unwind = AbortOnUnwind { gate: &gate, abort: &abort };
 
             let mut pending: BTreeMap<usize, ChunkOutput> = BTreeMap::new();
             let mut resident_records = 0u64;
@@ -1921,6 +1943,37 @@ mod tests {
     #[should_panic(expected = "chunk size must be at least 1")]
     fn zero_chunk_size_rejected() {
         let _ = Campaign::new("c", 1).with_chunk_size(0);
+    }
+
+    #[test]
+    fn a_panicking_sink_unwinds_the_parallel_runner_instead_of_hanging() {
+        struct PanickingSink {
+            seen: u64,
+        }
+        impl RunSink for PanickingSink {
+            fn on_run(&mut self, _: &RunMeta<'_>, _: &RunRecord) {
+                self.seen += 1;
+                assert!(self.seen < 20, "sink failure");
+            }
+        }
+        // One-run chunks on two workers: by the time the sink panics the
+        // in-flight window is full and both workers wait at the gate.
+        let (tx, rx) = mpsc::channel();
+        let runner = std::thread::spawn(move || {
+            let outcome = std::panic::catch_unwind(|| {
+                Campaign::new("sink-panic", 1)
+                    .with_chunk_size(1)
+                    .with_threads(2)
+                    .entry(CampaignEntry::new("echo").replications(256))
+                    .run_with_sink(&echo_registry(), &mut PanickingSink { seen: 0 })
+            });
+            tx.send(outcome.is_err()).ok();
+        });
+        let panicked = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a collector panic must not hang the parallel runner");
+        assert!(panicked, "the sink's panic propagates out of the run entry point");
+        runner.join().expect("the runner thread catches the campaign's panic");
     }
 
     // ---- ChunkGate window edge cases --------------------------------------

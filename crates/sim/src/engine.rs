@@ -82,12 +82,12 @@ enum TrainOp {
 /// Scheduling handle passed to the event handler of an [`Engine`].
 ///
 /// The handler cannot touch the engine directly (it is being iterated), so new
-/// events are staged in the context and merged after the handler returns —
-/// same-timestamp groups are bulk-inserted into their bucket in one pass via
-/// [`EventQueue::schedule_batch`].  The staging buffer is owned by the engine
-/// and reused across events, so steady-state event handling allocates
-/// nothing.  Train cancel/retune requests are staged the same way and applied
-/// after the staged schedules.
+/// events are staged in the context and scheduled one by one, in staging
+/// order, after the handler returns — so they take their sequence numbers
+/// (and FIFO tie ranks) exactly as direct schedules would.  The staging
+/// buffer is owned by the engine and reused across events.  Train
+/// cancel/retune requests are staged the same way and applied after the
+/// staged schedules.
 pub struct Context<'a, E> {
     now: SimTime,
     staged: &'a mut Vec<(SimTime, E)>,
@@ -316,10 +316,10 @@ impl<S, E> Engine<S, E> {
     /// the payload per tick.  A `start` in the past is clamped to "now" (and
     /// counted) exactly like [`Engine::schedule_at`].
     ///
-    /// Ticks are lazily materialized by the queue (O(1) per tick, no wheel
-    /// traffic) and keep exact FIFO tie semantics: the train consumes one
-    /// sequence number at this call and behaves as if every tick had been
-    /// scheduled up front here (see [`EventQueue::schedule_periodic`]).
+    /// Ticks are lazily materialized by the queue (no per-tick schedule) and
+    /// keep exact FIFO tie semantics: the train consumes one sequence number
+    /// at this call and behaves as if every tick had been scheduled up front
+    /// here (see [`EventQueue::schedule_periodic`]).
     ///
     /// # Panics
     /// Panics if `period` is zero.
@@ -415,9 +415,11 @@ impl<S, E> Engine<S, E> {
             let mut ctx = Context::new(t, &mut self.staged, &mut self.staged_train_ops, observer);
             handler(&mut self.state, &mut ctx, ev);
             let (stop, clamped) = (ctx.stop_requested, ctx.clamped);
-            // Bulk-insert the handler's staged events (same-timestamp groups
-            // are filed in one pass), then apply its train ops.
-            self.queue.schedule_batch(&mut self.staged);
+            // Schedule the handler's staged events in staging order, then
+            // apply its train ops.
+            for (time, event) in self.staged.drain(..) {
+                self.queue.schedule(time, event);
+            }
             for op in self.staged_train_ops.drain(..) {
                 match op {
                     TrainOp::Cancel(id) => {
@@ -746,8 +748,8 @@ mod tests {
 
     #[test]
     fn staged_same_timestamp_bursts_keep_fifo_order() {
-        // A handler fanning out several events at one instant exercises the
-        // schedule_batch path; order must match one-by-one scheduling.
+        // A handler fanning out several events at one instant: staged events
+        // keep their staging order among ties.
         let mut engine: Engine<Vec<u32>, Ev> = Engine::new(Vec::new());
         engine.schedule_at(SimTime::from_millis(1), Ev::Ping(0));
         engine.run(|log, ctx, ev| {

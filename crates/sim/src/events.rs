@@ -1,44 +1,24 @@
-//! Time-ordered event queues.
+//! The time-ordered event queue.
 //!
 //! The queue is the core of the discrete-event engine: events are popped in
 //! non-decreasing time order, with FIFO order among events scheduled for the
 //! same instant (insertion order breaks ties).  Deterministic tie-breaking is
 //! required for reproducible fault-injection campaigns.
 //!
-//! Two implementations share that contract:
-//!
-//! * [`EventQueue`] — the default, a two-tier **calendar (bucket) queue**
-//!   over an **arena of payloads**.  The near future is spread over a wheel
-//!   of fixed-width time buckets, the far future lives in an overflow pool
-//!   that is folded back into the wheel as simulation time advances.  The
-//!   wheel itself never holds payloads: every `E` lives in a slab with a
-//!   free list, and the buckets shuffle small `Copy` `(time, seq, slot_idx)`
-//!   entries — so bucket rebase/rebuild moves a few machine words per event
-//!   regardless of `size_of::<E>()`, and steady-state scheduling allocates
-//!   nothing (freed slots are reused).  For the hold-model workloads a
-//!   discrete-event simulation produces (pop the earliest event, schedule a
-//!   handful a short delay ahead) scheduling is O(1) and popping is
-//!   amortized O(1), independent of the number of pending events — where a
-//!   binary heap pays O(log n) pointer-chasing per operation.
-//! * [`HeapEventQueue`] — the classic `BinaryHeap` implementation, kept as
-//!   the reference baseline: the calendar queue is property-tested to pop in
-//!   exactly the same order, and `e16_campaign_throughput` measures the
-//!   speedup against it.
+//! [`EventQueue`] is two binary heaps keyed by `(time, seq)`: one holds the
+//! pending one-shot events, the other the periodic **trains**.  That is all
+//! the shipped workloads need: the engine-driven scenario families keep one
+//! or two resident events, and their fixed-period traffic (TDMA slot ticks,
+//! pulse-sync rounds, middleware publish and drain loops) runs as at most two
+//! trains per family (see ARCHITECTURE.md, "Event core").
 //!
 //! # Periodic event trains
 //!
-//! Fixed-period traffic (TDMA slot ticks, pulse-sync rounds, middleware
-//! publish loops) dominates the KARYON workloads.  Instead of paying a full
-//! schedule + pop through the wheel per tick, [`EventQueue::schedule_periodic`]
-//! registers a **train**: one lazily-materialized generator that is merged at
-//! pop time — no wheel traversal, no per-tick sequence allocation, no arena
-//! traffic.  The calendar queue amortizes the merge through a **tick cache**:
-//! a sorted window of upcoming ticks, each packed into one `u64`, refilled a
-//! few periods at a time (see `refill_tick_cache`) so the hot pop is an
-//! index bump instead of an O(trains) scan; the heap baseline uses the plain
-//! `best_train` scan.  Both queues implement trains with identical
-//! semantics, so the heap≡calendar identity property extends to mixed
-//! train + one-shot workloads.
+//! [`EventQueue::schedule_periodic`] registers a train: one lazily
+//! materialized generator whose next tick sits in the train heap.  Popping a
+//! tick clones the payload and advances the train in place (`peek_mut`), so
+//! a tick costs one sift of a heap that holds a handful of trains, and no
+//! per-tick schedule or sequence number.
 //!
 //! Train determinism contract (the **seq allocation rules**):
 //!
@@ -60,9 +40,7 @@ use std::collections::BinaryHeap;
 
 use crate::time::{SimDuration, SimTime};
 
-/// A pending one-shot event inside [`HeapEventQueue`]: payload kept inline
-/// (the baseline deliberately pays the payload-moving cost the calendar
-/// queue's arena avoids).
+/// A pending one-shot event.
 #[derive(Debug, Clone)]
 struct Scheduled<E> {
     time: SimTime,
@@ -70,115 +48,8 @@ struct Scheduled<E> {
     payload: E,
 }
 
-impl<E> Scheduled<E> {
-    /// The total order of the queue: earliest time first, insertion order
-    /// (`seq`) among simultaneous events.
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-impl<E> PartialEq for Scheduled<E> {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl<E> Eq for Scheduled<E> {}
-
-impl<E> Ord for Scheduled<E> {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest event is popped first.
-        other.key().cmp(&self.key())
-    }
-}
-impl<E> PartialOrd for Scheduled<E> {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// A pending one-shot inside the calendar queue: the `(time, seq, slot_idx)`
-/// triple the wheel shuffles.  `Copy` regardless of the payload type — the
-/// payload itself lives in the [`Arena`] at `slot`.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    time: SimTime,
-    seq: u64,
-    slot: u32,
-}
-
-impl Entry {
-    fn key(&self) -> (SimTime, u64) {
-        (self.time, self.seq)
-    }
-}
-
-impl PartialEq for Entry {
-    fn eq(&self, other: &Self) -> bool {
-        self.key() == other.key()
-    }
-}
-impl Eq for Entry {}
-
-impl Ord for Entry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Same max-heap inversion as `Scheduled`, for the `early` min-heap.
-        other.key().cmp(&self.key())
-    }
-}
-impl PartialOrd for Entry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Slab of event payloads with free-list reuse: steady-state scheduling
-/// (pop one, schedule one) recycles slots and never allocates.
-#[derive(Debug, Clone)]
-struct Arena<E> {
-    slots: Vec<Option<E>>,
-    free: Vec<u32>,
-}
-
-impl<E> Arena<E> {
-    fn new() -> Self {
-        Arena { slots: Vec::new(), free: Vec::new() }
-    }
-
-    fn insert(&mut self, payload: E) -> u32 {
-        match self.free.pop() {
-            Some(slot) => {
-                self.slots[slot as usize] = Some(payload);
-                slot
-            }
-            None => {
-                assert!(self.slots.len() < u32::MAX as usize, "event arena exhausted");
-                self.slots.push(Some(payload));
-                (self.slots.len() - 1) as u32
-            }
-        }
-    }
-
-    fn take(&mut self, slot: u32) -> E {
-        let payload = self.slots[slot as usize].take().expect("arena slot is occupied");
-        self.free.push(slot);
-        payload
-    }
-
-    fn clear(&mut self) {
-        self.slots.clear();
-        self.free.clear();
-    }
-
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-}
-
 /// Handle to a periodic event train created by
-/// [`EventQueue::schedule_periodic`] / [`HeapEventQueue::schedule_periodic`],
-/// used to cancel or retune it.
+/// [`EventQueue::schedule_periodic`], used to cancel or retune it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TrainId(u64);
 
@@ -195,102 +66,59 @@ struct Train<E> {
     payload: E,
 }
 
-impl<E> Train<E> {
-    fn tick_key(&self) -> (SimTime, u64) {
+/// Orders heap entries by their `(time, seq)` key, earliest first.  `seq` is
+/// unique per queue, so the order is total and pop order never depends on
+/// the heap's internal layout.
+trait Keyed {
+    fn key(&self) -> (SimTime, u64);
+}
+
+impl<E> Keyed for Scheduled<E> {
+    fn key(&self) -> (SimTime, u64) {
+        (self.time, self.seq)
+    }
+}
+
+impl<E> Keyed for Train<E> {
+    fn key(&self) -> (SimTime, u64) {
         (self.next, self.seq)
     }
 }
 
-/// Number of periods per train materialized into the tick cache on each
-/// [`EventQueue::refill_tick_cache`] — the amortization window.  Bigger
-/// windows amortize the refill sort further but waste more work when a
-/// train is cancelled or retuned mid-window.
-const TICK_CACHE_PERIODS: u64 = 8;
-
-/// Index of the train whose next tick pops first, by `(time, seq)`.
-/// O(number of trains) — used by the [`HeapEventQueue`] reference
-/// implementation throughout, and by the calendar queue only on the cold
-/// path when its tick cache can't represent the window.
-fn best_train<E>(trains: &[Train<E>]) -> Option<usize> {
-    trains.iter().enumerate().min_by_key(|(_, t)| t.tick_key()).map(|(i, _)| i)
+macro_rules! min_heap_order {
+    ($ty:ident) => {
+        impl<E> PartialEq for $ty<E> {
+            fn eq(&self, other: &Self) -> bool {
+                self.key() == other.key()
+            }
+        }
+        impl<E> Eq for $ty<E> {}
+        impl<E> Ord for $ty<E> {
+            fn cmp(&self, other: &Self) -> Ordering {
+                // BinaryHeap is a max-heap; invert so the earliest pops first.
+                other.key().cmp(&self.key())
+            }
+        }
+        impl<E> PartialOrd for $ty<E> {
+            fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+    };
 }
 
-/// Initial / minimum number of wheel slots (always a power of two so the
-/// slot index is a mask).
-const MIN_WHEEL_SLOTS: usize = 512;
-/// Maximum number of wheel slots the adaptive resize may grow to.
-const MAX_WHEEL_SLOTS: usize = 1 << 17;
-/// Initial log2 of the bucket width in microseconds: 1024 µs ≈ 1 ms per
-/// bucket, so the initial wheel spans ~0.5 s of simulated time —
-/// comfortably more than the scheduling horizon of the periodic tasks and
-/// MAC slots the KARYON models use, while keeping the wheel a few KiB.
-const INITIAL_BUCKET_SHIFT: u32 = 10;
-/// Widest bucket the adaptive resize may widen to (2^26 µs ≈ 67 s).
-const MAX_BUCKET_SHIFT: u32 = 26;
-/// Occupancy the resize aims for: a handful of events per bucket keeps the
-/// per-bucket sort negligible while buckets stay dense enough to scan.
-const TARGET_OCCUPANCY: usize = 16;
-/// Occupancy that triggers a shrink (hysteresis above the target).
-const HIGH_OCCUPANCY: usize = 64;
+min_heap_order!(Scheduled);
+min_heap_order!(Train);
 
 /// A priority queue of events ordered by firing time (earliest first), with
-/// deterministic FIFO tie-breaking for simultaneous events.
-///
-/// Storage model: payloads live in a slab **arena** with free-list reuse;
-/// the queue structure itself (the two-tier calendar wheel, see the module
-/// docs) holds only `Copy` `(time, seq, slot_idx)` entries, so geometry
-/// changes move a few machine words per event and steady-state operation
-/// allocates nothing.  Fixed-period traffic can bypass the wheel entirely
-/// via [`EventQueue::schedule_periodic`] trains, merged at pop time.
-///
-/// Pop order is bit-identical to [`HeapEventQueue`] — including FIFO ties
-/// and mixed train + one-shot workloads — which the property tests assert.
+/// deterministic FIFO tie-breaking for simultaneous events and periodic
+/// [trains](EventQueue::schedule_periodic) merged at pop time.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// The entries of the current bucket (global index [`EventQueue::epoch`])
-    /// only, sorted *descending* by `(time, seq)` so the earliest is popped
-    /// from the back in O(1).
-    current: Vec<Entry>,
-    /// Entries scheduled *before* the current bucket (legal after pops, e.g.
-    /// a bulk fill in arbitrary time order).  A small min-heap: the shared
-    /// `(time, seq)` key makes the pop-side merge with `current` exact.
-    early: BinaryHeap<Entry>,
-    /// Wheel of unsorted buckets: an entry with global bucket index `g` in
-    /// `(epoch, epoch + slots)` lives in slot `g & (slots - 1)`.  Allocated
-    /// lazily on the first schedule beyond the current bucket.
-    wheel: Vec<Vec<Entry>>,
-    /// Entries at least a full wheel rotation ahead of `epoch`; folded back
-    /// into the wheel when the cursor reaches them.
-    overflow: Vec<Entry>,
-    /// Smallest bucket index of any overflow entry (`u64::MAX` when empty):
-    /// the wheel scan must never advance past it.
-    overflow_min: u64,
-    /// Global bucket index of `current` (time >> `shift`).
-    epoch: u64,
-    /// log2 of the bucket width in microseconds.  Adapted so bucket
-    /// occupancy stays near [`TARGET_OCCUPANCY`].
-    shift: u32,
-    /// Number of wheel slots (power of two).  Adapted together with `shift`
-    /// so one rotation covers the pending-event horizon.
-    slots: usize,
-    /// Number of pending *one-shot* events (trains are counted separately).
-    one_shots: usize,
+    one_shots: BinaryHeap<Scheduled<E>>,
+    trains: BinaryHeap<Train<E>>,
     next_seq: u64,
-    /// Payload storage for one-shot events.
-    arena: Arena<E>,
-    /// Active periodic trains, merged at pop time.
-    trains: Vec<Train<E>>,
-    /// Merged upcoming train ticks, each packed `(time µs << 16) | train
-    /// index`, sorted ascending; consumed from `tick_cursor`.  A pure cache
-    /// of the merge order — the trains' `next` fields stay authoritative,
-    /// so any membership or cadence change simply invalidates it (see
-    /// [`EventQueue::refill_tick_cache`]).
-    tick_cache: Vec<u64>,
-    /// First unconsumed entry of `tick_cache`.
-    tick_cursor: usize,
     next_train_id: u64,
-    /// Scratch buffer reused by [`EventQueue::schedule_batch`].
-    batch: Vec<Entry>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -303,163 +131,32 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            current: Vec::new(),
-            early: BinaryHeap::new(),
-            wheel: Vec::new(),
-            overflow: Vec::new(),
-            overflow_min: u64::MAX,
-            epoch: 0,
-            shift: INITIAL_BUCKET_SHIFT,
-            slots: MIN_WHEEL_SLOTS,
-            one_shots: 0,
+            one_shots: BinaryHeap::new(),
+            trains: BinaryHeap::new(),
             next_seq: 0,
-            arena: Arena::new(),
-            trains: Vec::new(),
-            tick_cache: Vec::new(),
-            tick_cursor: 0,
             next_train_id: 0,
-            batch: Vec::new(),
         }
     }
 
-    /// The global bucket index of an instant under the current bucket width.
-    #[inline]
-    fn bucket_of(&self, time: SimTime) -> u64 {
-        time.as_micros() >> self.shift
+    fn take_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
     }
 
     /// Schedules `payload` to fire at `time`.
     pub fn schedule(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let slot = self.arena.insert(payload);
-        let entry = Entry { time, seq, slot };
-        self.file(entry);
-        self.one_shots += 1;
-    }
-
-    /// Files an entry under the current geometry, rebasing the wheel first
-    /// when no one-shots are pending.
-    fn file(&mut self, entry: Entry) {
-        let g = self.bucket_of(entry.time);
-        if self.one_shots == 0 {
-            // No pending one-shots: rebase the wheel on the new entry so no
-            // empty buckets ever need scanning to reach it.
-            self.epoch = g;
-            self.current.push(entry);
-        } else if g < self.epoch {
-            self.early.push(entry);
-        } else if g == self.epoch {
-            // Keep `current` sorted descending by (time, seq); `seq` is
-            // unique, so the search never finds an equal key.
-            let key = entry.key();
-            let at =
-                self.current.binary_search_by(|probe| probe.key().cmp(&key).reverse()).unwrap_err();
-            self.current.insert(at, entry);
-        } else if g - self.epoch < self.slots as u64 {
-            if self.wheel.is_empty() {
-                // Lazy allocation; a rebuild keeps `wheel.len() == slots`.
-                self.wheel.resize_with(self.slots, Vec::new);
-            }
-            self.wheel[(g & (self.slots as u64 - 1)) as usize].push(entry);
-        } else {
-            self.overflow_min = self.overflow_min.min(g);
-            self.overflow.push(entry);
-        }
-    }
-
-    /// Schedules every `(time, payload)` in `events`, draining the vector.
-    ///
-    /// Equivalent to calling [`EventQueue::schedule`] in order — events
-    /// receive sequence numbers in their staging order, so FIFO tie order is
-    /// identical — but same-bucket groups (in particular same-timestamp
-    /// bursts, the common case for a handler that fans out several events at
-    /// one instant) are filed with **one** bucket computation and one
-    /// insertion per group instead of one binary-search insert per event.
-    pub fn schedule_batch(&mut self, events: &mut Vec<(SimTime, E)>) {
-        if events.len() <= 1 {
-            if let Some((time, payload)) = events.pop() {
-                self.schedule(time, payload);
-            }
-            return;
-        }
-        let mut batch = std::mem::take(&mut self.batch);
-        batch.clear();
-        for (time, payload) in events.drain(..) {
-            let seq = self.next_seq;
-            self.next_seq += 1;
-            let slot = self.arena.insert(payload);
-            batch.push(Entry { time, seq, slot });
-        }
-        if self.one_shots == 0 {
-            // Same rebase a single schedule on an empty queue performs.
-            let lo = batch.iter().map(|e| e.time).min().expect("batch has >= 2 events");
-            self.epoch = self.bucket_of(lo);
-        }
-        self.one_shots += batch.len();
-        // Ascending (time, seq) order makes same-bucket events contiguous
-        // runs; seq assignment already happened in staging order above, so
-        // sorting here cannot perturb FIFO ties.
-        batch.sort_unstable_by_key(Entry::key);
-        let mut i = 0;
-        while i < batch.len() {
-            let g = self.bucket_of(batch[i].time);
-            let mut j = i + 1;
-            while j < batch.len() && self.bucket_of(batch[j].time) == g {
-                j += 1;
-            }
-            let run = &batch[i..j];
-            if g < self.epoch {
-                for entry in run {
-                    self.early.push(*entry);
-                }
-            } else if g == self.epoch {
-                Self::merge_into_current(&mut self.current, run);
-            } else if g - self.epoch < self.slots as u64 {
-                if self.wheel.is_empty() {
-                    self.wheel.resize_with(self.slots, Vec::new);
-                }
-                self.wheel[(g & (self.slots as u64 - 1)) as usize].extend_from_slice(run);
-            } else {
-                self.overflow_min = self.overflow_min.min(g);
-                self.overflow.extend_from_slice(run);
-            }
-            i = j;
-        }
-        self.batch = batch;
-    }
-
-    /// Merges an ascending-sorted run into the descending-sorted `current`
-    /// bucket.  The fast path — the whole run falls into one gap, which is
-    /// always true for a same-timestamp burst (existing entries at that time
-    /// have strictly smaller seqs) — costs one binary search and one splice.
-    fn merge_into_current(current: &mut Vec<Entry>, run: &[Entry]) {
-        let lo_key = run[0].key();
-        let hi_key = run[run.len() - 1].key();
-        let at = current.binary_search_by(|probe| probe.key().cmp(&lo_key).reverse()).unwrap_err();
-        if at == 0 || current[at - 1].key() > hi_key {
-            current.splice(at..at, run.iter().rev().copied());
-        } else {
-            // Existing entries interleave with the run's time span: fall
-            // back to per-entry sorted insertion.
-            for entry in run {
-                let key = entry.key();
-                let at =
-                    current.binary_search_by(|probe| probe.key().cmp(&key).reverse()).unwrap_err();
-                current.insert(at, *entry);
-            }
-        }
+        let seq = self.take_seq();
+        self.one_shots.push(Scheduled { time, seq, payload });
     }
 
     /// Registers a periodic event **train**: `payload` fires at `start`,
     /// `start + period`, `start + 2·period`, … until
     /// [cancelled](EventQueue::cancel_train).  Each tick clones the payload.
     ///
-    /// Ticks are lazily materialized and merged at pop time in O(number of
-    /// trains) — no per-tick wheel traffic.  The train consumes one sequence
-    /// number at this call; see the module docs for the resulting FIFO
-    /// tie-order contract (the train behaves as if every tick had been
-    /// scheduled up front at this instant).
+    /// The train consumes one sequence number at this call; see the module
+    /// docs for the resulting FIFO tie-order contract (the train behaves as
+    /// if every tick had been scheduled up front at this instant).
     ///
     /// # Panics
     /// Panics if `period` is zero (the tick train would never advance time).
@@ -470,75 +167,21 @@ impl<E> EventQueue<E> {
         payload: E,
     ) -> TrainId {
         assert!(!period.is_zero(), "a periodic train needs a non-zero period");
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let seq = self.take_seq();
         let id = TrainId(self.next_train_id);
         self.next_train_id += 1;
         self.trains.push(Train { id, seq, next: start, period, payload });
-        self.invalidate_tick_cache();
         id
     }
 
     /// Cancels a train: no further ticks fire.  Returns the train's payload,
     /// or `None` if `id` is unknown (e.g. already cancelled).
     pub fn cancel_train(&mut self, id: TrainId) -> Option<E> {
-        let at = self.trains.iter().position(|t| t.id == id)?;
-        self.invalidate_tick_cache();
-        Some(self.trains.remove(at).payload)
-    }
-
-    /// Drops all cached (not yet popped) train ticks.  Called on every
-    /// train membership or cadence change: the cache is derived purely from
-    /// the trains' `next`/`period` fields, so this is always safe.
-    fn invalidate_tick_cache(&mut self) {
-        self.tick_cache.clear();
-        self.tick_cursor = 0;
-    }
-
-    /// Rebuilds the merged-tick cache: materializes every train tick below
-    /// the window bound `T = minᵢ(nextᵢ + TICK_CACHE_PERIODS · periodᵢ)`
-    /// and sorts the packed entries once.  The bound shape guarantees both
-    /// progress (`T` exceeds the earliest `next`, so at least one tick
-    /// materializes) and a size cap (train *i* contributes at most
-    /// `TICK_CACHE_PERIODS` ticks, since `T − nextᵢ ≤ TICK_CACHE_PERIODS ·
-    /// periodᵢ`).  Ties at one instant sort by train index, which equals
-    /// seq order: trains are stored in creation order.
-    ///
-    /// Returns false — cache left empty, callers fall back to the
-    /// [`best_train`] scan — when the packing can't represent the window:
-    /// 2¹⁶ or more trains, or tick times at 2⁴⁸ µs (≈ 8.9 simulated years)
-    /// and beyond.
-    ///
-    /// # Panics
-    /// Panics if no train is live (callers check).
-    fn refill_tick_cache(&mut self) -> bool {
-        self.invalidate_tick_cache();
-        if self.trains.len() >= 1 << 16 {
-            return false;
-        }
-        let bound = self
-            .trains
-            .iter()
-            .map(|t| {
-                t.next
-                    .as_micros()
-                    .saturating_add(t.period.as_micros().saturating_mul(TICK_CACHE_PERIODS))
-            })
-            .min()
-            .expect("refill_tick_cache needs a live train");
-        if bound >= 1 << 48 {
-            return false;
-        }
-        for (i, t) in self.trains.iter().enumerate() {
-            let mut tick = t.next.as_micros();
-            while tick < bound {
-                self.tick_cache.push((tick << 16) | i as u64);
-                tick += t.period.as_micros();
-            }
-        }
-        self.tick_cache.sort_unstable();
-        debug_assert!(!self.tick_cache.is_empty(), "the window bound exceeds the earliest tick");
-        true
+        // Cancels are rare and the train heap is tiny: rebuild it.
+        let mut trains = std::mem::take(&mut self.trains).into_vec();
+        let removed = trains.iter().position(|t| t.id == id).map(|at| trains.swap_remove(at));
+        self.trains = trains.into();
+        removed.map(|t| t.payload)
     }
 
     /// Changes a train's period for the intervals *after* its next
@@ -548,14 +191,18 @@ impl<E> EventQueue<E> {
     /// Panics if `period` is zero.
     pub fn retune_train(&mut self, id: TrainId, period: SimDuration) -> bool {
         assert!(!period.is_zero(), "a periodic train needs a non-zero period");
-        match self.trains.iter_mut().find(|t| t.id == id) {
+        // The period is not part of the heap key, so editing it in place
+        // keeps the heap order valid.
+        let mut trains = std::mem::take(&mut self.trains).into_vec();
+        let found = match trains.iter_mut().find(|t| t.id == id) {
             Some(train) => {
                 train.period = period;
-                self.invalidate_tick_cache();
                 true
             }
             None => false,
-        }
+        };
+        self.trains = trains.into();
+        found
     }
 
     /// Number of active periodic trains.
@@ -563,27 +210,11 @@ impl<E> EventQueue<E> {
         self.trains.len()
     }
 
-    /// The earliest pending one-shot key, if any.  The advance invariant
-    /// guarantees `current`/`early` hold the global one-shot minimum.
-    fn one_shot_head(&self) -> Option<(SimTime, u64)> {
-        match (self.early.peek(), self.current.last()) {
-            (Some(e), Some(c)) => Some(e.key().min(c.key())),
-            (Some(e), None) => Some(e.key()),
-            (None, Some(c)) => Some(c.key()),
-            (None, None) => None,
-        }
-    }
-
     /// The firing time of the earliest pending event (one-shot or train
     /// tick), if any.
     pub fn next_time(&self) -> Option<SimTime> {
-        let one_shot = self.one_shot_head().map(|(t, _)| t);
-        // The cache head, when live, *is* the earliest train tick; otherwise
-        // scan (`&self` can't refill).
-        let tick = match self.tick_cache.get(self.tick_cursor) {
-            Some(&packed) => Some(SimTime::from_micros(packed >> 16)),
-            None => self.trains.iter().map(|t| t.next).min(),
-        };
+        let one_shot = self.one_shots.peek().map(|s| s.time);
+        let tick = self.trains.peek().map(|t| t.next);
         match (one_shot, tick) {
             (Some(a), Some(b)) => Some(a.min(b)),
             (a, b) => a.or(b),
@@ -594,7 +225,7 @@ impl<E> EventQueue<E> {
     /// materialized next tick); popping a tick does not shrink the queue,
     /// because the following tick takes its place.
     pub fn len(&self) -> usize {
-        self.one_shots + self.trains.len()
+        self.one_shots.len() + self.trains.len()
     }
 
     /// True when no events are pending and no train is active.
@@ -604,144 +235,8 @@ impl<E> EventQueue<E> {
 
     /// Discards all pending events and cancels all trains.
     pub fn clear(&mut self) {
-        self.current.clear();
-        self.early.clear();
-        for slot in &mut self.wheel {
-            slot.clear();
-        }
-        self.overflow.clear();
-        self.overflow_min = u64::MAX;
-        self.one_shots = 0;
-        self.arena.clear();
+        self.one_shots.clear();
         self.trains.clear();
-        self.invalidate_tick_cache();
-    }
-
-    /// Refills `current` with the next pending bucket.  Called only while
-    /// one-shots are pending and `current`/`early` are empty, and guaranteed
-    /// to leave `current` non-empty.
-    ///
-    /// The wheel scan must stop at [`EventQueue::overflow_min`]: an overflow
-    /// entry's bucket may lie *inside* the current rotation (the window has
-    /// moved over it since it was parked), so advancing past it would pop
-    /// out of order.  When the scan cannot proceed, [`EventQueue::rebase`]
-    /// folds wheel and overflow back together under a fresh geometry.
-    fn advance(&mut self) {
-        if !self.wheel.is_empty() {
-            // The next non-empty slot in global-bucket order holds exactly
-            // the entries of one bucket: slots are only populated within one
-            // rotation of `epoch`, so indices cannot collide.
-            for step in 1..self.slots as u64 {
-                let g = self.epoch + step;
-                if g >= self.overflow_min {
-                    break;
-                }
-                let slot = (g & (self.slots as u64 - 1)) as usize;
-                if !self.wheel[slot].is_empty() {
-                    self.epoch = g;
-                    std::mem::swap(&mut self.current, &mut self.wheel[slot]);
-                    self.sort_current();
-                    if self.current.len() > HIGH_OCCUPANCY && self.shift > 0 {
-                        self.rebuild();
-                    }
-                    return;
-                }
-            }
-        }
-        self.rebase();
-    }
-
-    /// Drains every wheel slot and the overflow into one vector.
-    fn gather_far(&mut self) -> Vec<Entry> {
-        let mut all = Vec::new();
-        for slot in &mut self.wheel {
-            all.append(slot);
-        }
-        all.append(&mut self.overflow);
-        self.overflow_min = u64::MAX;
-        all
-    }
-
-    /// Re-anchors the queue on the earliest entry still pending in the wheel
-    /// or overflow, re-deriving the geometry from the observed density, and
-    /// redistributes everything.  This is the adaptation point for *sparse*
-    /// or far-jumping workloads (and the recovery path when overflow entries
-    /// block the wheel scan).  O(pending) over `Copy` entries — payloads
-    /// never move — amortised over the rotation that made it necessary.
-    fn rebase(&mut self) {
-        let all = self.gather_far();
-        debug_assert!(!all.is_empty(), "advance() called on an empty queue");
-        let lo = all.iter().map(|s| s.time).min().expect("non-empty");
-        let hi = all.iter().map(|s| s.time).max().expect("non-empty");
-        self.adopt_geometry(lo, hi, all.len());
-        self.epoch = self.bucket_of(lo);
-        self.redistribute(all);
-        self.sort_current();
-    }
-
-    /// Re-derives the geometry from the (too dense) freshly-adopted
-    /// `current` bucket and redistributes the wheel and overflow under it,
-    /// merging entries that now share the current bucket into `current`.
-    /// This is the adaptation point for *dense* workloads.  O(pending),
-    /// amortised by the occupancy hysteresis that triggers it.
-    fn rebuild(&mut self) {
-        let occupancy = self.current.len();
-        let width = 1u64 << self.shift;
-        // Estimated pending span at the observed density, for sizing.
-        let pending = (self.one_shots - self.early.len()).max(1);
-        let span = (width.saturating_mul(pending as u64) / occupancy.max(1) as u64).max(1);
-        let far = self.gather_far();
-        let lo = self.current.last().expect("rebuild needs a current bucket").time;
-        self.adopt_geometry(lo, SimTime::from_micros(lo.as_micros().saturating_add(span)), pending);
-        // `current` holds the earliest pending bucket, so its largest member
-        // anchors the new epoch; wheel/overflow entries are all later and
-        // redistribute to buckets ≥ it.
-        self.epoch = self.bucket_of(self.current.first().expect("non-empty").time);
-        self.redistribute(far);
-        self.sort_current();
-    }
-
-    /// Files each entry under the current geometry: the current bucket (or
-    /// earlier), the wheel window, or the overflow.
-    fn redistribute(&mut self, entries: Vec<Entry>) {
-        if self.wheel.len() != self.slots {
-            self.wheel = Vec::new();
-            self.wheel.resize_with(self.slots, Vec::new);
-        }
-        for entry in entries {
-            let g = self.bucket_of(entry.time);
-            if g <= self.epoch {
-                self.current.push(entry);
-            } else if g - self.epoch < self.slots as u64 {
-                self.wheel[(g & (self.slots as u64 - 1)) as usize].push(entry);
-            } else {
-                self.overflow_min = self.overflow_min.min(g);
-                self.overflow.push(entry);
-            }
-        }
-    }
-
-    /// Picks a bucket width and wheel size so that `count` events spread
-    /// over `[lo, hi]` land near [`TARGET_OCCUPANCY`] per bucket with the
-    /// whole span inside one wheel rotation.
-    fn adopt_geometry(&mut self, lo: SimTime, hi: SimTime, count: usize) {
-        let span = (hi.as_micros().saturating_sub(lo.as_micros())).max(1);
-        // Bucket width ≈ span × target / count, as a power of two.
-        let ideal_width =
-            (span.saturating_mul(TARGET_OCCUPANCY as u64) / count.max(1) as u64).max(1);
-        let shift = (63 - ideal_width.leading_zeros()).min(MAX_BUCKET_SHIFT);
-        // One rotation must cover the span at that width.
-        let needed = (span >> shift) + 2;
-        let slots = needed.next_power_of_two().clamp(MIN_WHEEL_SLOTS as u64, MAX_WHEEL_SLOTS as u64)
-            as usize;
-        self.shift = shift;
-        self.slots = slots;
-    }
-
-    /// Sorts `current` descending by `(time, seq)`; keys are unique, so an
-    /// unstable sort is exact.
-    fn sort_current(&mut self) {
-        self.current.sort_unstable_by_key(|s| std::cmp::Reverse(s.key()));
     }
 }
 
@@ -749,204 +244,17 @@ impl<E: Clone> EventQueue<E> {
     /// Removes and returns the earliest pending event as `(time, payload)`.
     ///
     /// A train tick clones the train's payload and materializes the
-    /// following tick in place.  Steady state reads the sorted tick cache
-    /// at a cursor — the per-tick merge cost is one packed compare, with
-    /// the O(n log n) window refill amortized over ~`TICK_CACHE_PERIODS ×
-    /// active_trains` pops — and never touches the wheel.
+    /// following tick in place.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.tick_cursor == self.tick_cache.len() && !self.trains.is_empty() {
-            self.refill_tick_cache();
-        }
-        // (time, seq, index, cached) of the due train tick, if any.
-        let tick = match self.tick_cache.get(self.tick_cursor) {
-            Some(&packed) => {
-                let ti = (packed & 0xFFFF) as usize;
-                Some((SimTime::from_micros(packed >> 16), self.trains[ti].seq, ti, true))
-            }
-            // Cache unrepresentable (see refill_tick_cache): exact scan.
-            None => best_train(&self.trains).map(|ti| {
-                let t = &self.trains[ti];
-                (t.next, t.seq, ti, false)
-            }),
-        };
-        let take_train = match (self.one_shot_head(), tick) {
+        if let Some(mut train) = self.trains.peek_mut() {
             // Keys never collide: train seqs come from the same counter.
-            (Some(key), Some((t, s, _, _))) => (t, s) < key,
-            (None, Some(_)) => true,
-            (_, None) => false,
-        };
-        if take_train {
-            let (time, _, ti, cached) = tick.expect("matched above");
-            self.tick_cursor += usize::from(cached);
-            let train = &mut self.trains[ti];
-            debug_assert_eq!(train.next, time, "cache head tracks the train's next tick");
-            train.next = time + train.period;
-            return Some((time, train.payload.clone()));
-        }
-        let take_early = match (self.early.peek(), self.current.last()) {
-            (Some(e), Some(c)) => e.key() < c.key(),
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => return None,
-        };
-        let entry = if take_early {
-            self.early.pop().expect("peeked above")
-        } else {
-            self.current.pop().expect("peeked above")
-        };
-        self.one_shots -= 1;
-        if self.current.is_empty() && self.early.is_empty() && self.one_shots > 0 {
-            self.advance();
-        }
-        Some((entry.time, self.arena.take(entry.slot)))
-    }
-
-    /// Removes and returns the earliest event only if it fires at or before
-    /// `deadline`.
-    pub fn pop_until(&mut self, deadline: SimTime) -> Option<(SimTime, E)> {
-        match self.next_time() {
-            Some(t) if t <= deadline => self.pop(),
-            _ => None,
-        }
-    }
-}
-
-/// The classic `BinaryHeap` event queue: the reference implementation of the
-/// pop-order contract and the baseline `e16_campaign_throughput` measures the
-/// calendar queue against.  Implements the same [periodic
-/// train](EventQueue::schedule_periodic) semantics, so the property tests can
-/// assert heap≡calendar identity over mixed train + one-shot workloads.
-#[derive(Debug, Clone)]
-pub struct HeapEventQueue<E> {
-    heap: BinaryHeap<Scheduled<E>>,
-    trains: Vec<Train<E>>,
-    next_seq: u64,
-    next_train_id: u64,
-}
-
-impl<E> Default for HeapEventQueue<E> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<E> HeapEventQueue<E> {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        HeapEventQueue {
-            heap: BinaryHeap::new(),
-            trains: Vec::new(),
-            next_seq: 0,
-            next_train_id: 0,
-        }
-    }
-
-    /// Schedules `payload` to fire at `time`.
-    pub fn schedule(&mut self, time: SimTime, payload: E) {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.heap.push(Scheduled { time, seq, payload });
-    }
-
-    /// Schedules every `(time, payload)` in `events`, draining the vector.
-    /// Behaviorally identical to scheduling them in order.
-    pub fn schedule_batch(&mut self, events: &mut Vec<(SimTime, E)>) {
-        for (time, payload) in events.drain(..) {
-            self.schedule(time, payload);
-        }
-    }
-
-    /// Registers a periodic event train — identical semantics to
-    /// [`EventQueue::schedule_periodic`].
-    ///
-    /// # Panics
-    /// Panics if `period` is zero.
-    pub fn schedule_periodic(
-        &mut self,
-        start: SimTime,
-        period: SimDuration,
-        payload: E,
-    ) -> TrainId {
-        assert!(!period.is_zero(), "a periodic train needs a non-zero period");
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let id = TrainId(self.next_train_id);
-        self.next_train_id += 1;
-        self.trains.push(Train { id, seq, next: start, period, payload });
-        id
-    }
-
-    /// Cancels a train — identical semantics to
-    /// [`EventQueue::cancel_train`].
-    pub fn cancel_train(&mut self, id: TrainId) -> Option<E> {
-        let at = self.trains.iter().position(|t| t.id == id)?;
-        Some(self.trains.remove(at).payload)
-    }
-
-    /// Retunes a train — identical semantics to
-    /// [`EventQueue::retune_train`].
-    ///
-    /// # Panics
-    /// Panics if `period` is zero.
-    pub fn retune_train(&mut self, id: TrainId, period: SimDuration) -> bool {
-        assert!(!period.is_zero(), "a periodic train needs a non-zero period");
-        match self.trains.iter_mut().find(|t| t.id == id) {
-            Some(train) => {
-                train.period = period;
-                true
+            if self.one_shots.peek().map_or(true, |s| train.key() < s.key()) {
+                let time = train.next;
+                train.next = time + train.period;
+                return Some((time, train.payload.clone()));
             }
-            None => false,
         }
-    }
-
-    /// Number of active periodic trains.
-    pub fn active_trains(&self) -> usize {
-        self.trains.len()
-    }
-
-    /// The firing time of the earliest pending event, if any.
-    pub fn next_time(&self) -> Option<SimTime> {
-        let one_shot = self.heap.peek().map(|s| s.time);
-        let tick = self.trains.iter().map(|t| t.next).min();
-        match (one_shot, tick) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        }
-    }
-
-    /// Number of pending events (each active train counts as one).
-    pub fn len(&self) -> usize {
-        self.heap.len() + self.trains.len()
-    }
-
-    /// True when no events are pending and no train is active.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Discards all pending events and cancels all trains.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.trains.clear();
-    }
-}
-
-impl<E: Clone> HeapEventQueue<E> {
-    /// Removes and returns the earliest pending event as `(time, payload)`.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let take_train = match (self.heap.peek(), best_train(&self.trains)) {
-            (Some(s), Some(ti)) => self.trains[ti].tick_key() < s.key(),
-            (None, Some(_)) => true,
-            (_, None) => false,
-        };
-        if take_train {
-            let ti = best_train(&self.trains).expect("matched above");
-            let train = &mut self.trains[ti];
-            let time = train.next;
-            train.next = time + train.period;
-            return Some((time, train.payload.clone()));
-        }
-        self.heap.pop().map(|s| (s.time, s.payload))
+        self.one_shots.pop().map(|s| (s.time, s.payload))
     }
 
     /// Removes and returns the earliest event only if it fires at or before
@@ -962,79 +270,6 @@ impl<E: Clone> HeapEventQueue<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rng::Rng;
-    use crate::time::SimDuration;
-
-    #[test]
-    #[ignore = "manual microbenchmark"]
-    fn train_micro() {
-        let periods: Vec<SimDuration> =
-            (0..16u64).map(|i| SimDuration::from_micros(50 + 7 * i)).collect();
-        let ops = 4_000_000u64;
-
-        // A: full public pop loop.
-        let mut q: EventQueue<u64> = EventQueue::new();
-        for (i, p) in periods.iter().enumerate() {
-            q.schedule_periodic(SimTime::from_micros(i as u64), *p, i as u64);
-        }
-        let start = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (t, p) = q.pop().unwrap();
-            acc ^= t.as_micros().wrapping_add(p);
-        }
-        println!(
-            "A full pop       : {:.1} ns/op (acc {acc})",
-            start.elapsed().as_nanos() as f64 / ops as f64
-        );
-
-        // B: family-sized fleet (2 trains).
-        let mut q2: EventQueue<u64> = EventQueue::new();
-        for (i, p) in periods.iter().take(2).enumerate() {
-            q2.schedule_periodic(SimTime::from_micros(i as u64), *p, i as u64);
-        }
-        let start = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (t, p) = q2.pop().unwrap();
-            acc ^= t.as_micros().wrapping_add(p);
-        }
-        println!(
-            "B 2-train pop    : {:.1} ns/op (acc {acc})",
-            start.elapsed().as_nanos() as f64 / ops as f64
-        );
-
-        // C: heap one-shot baseline (pop + reschedule), same workload.
-        let mut h: HeapEventQueue<u64> = HeapEventQueue::new();
-        for (i, _) in periods.iter().enumerate() {
-            h.schedule(SimTime::from_micros(i as u64), i as u64);
-        }
-        let start = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (t, task) = h.pop().unwrap();
-            h.schedule(t + periods[task as usize], task);
-            acc ^= t.as_micros();
-        }
-        println!(
-            "C heap one-shots : {:.1} ns/op (acc {acc})",
-            start.elapsed().as_nanos() as f64 / ops as f64
-        );
-
-        // D: single-train fast path — isolates pop()'s fixed overhead.
-        let mut q3: EventQueue<u64> = EventQueue::new();
-        q3.schedule_periodic(SimTime::ZERO, SimDuration::from_micros(50), 7);
-        let start = std::time::Instant::now();
-        let mut acc = 0u64;
-        for _ in 0..ops {
-            let (t, p) = q3.pop().unwrap();
-            acc ^= t.as_micros().wrapping_add(p);
-        }
-        println!(
-            "D 1-train pop    : {:.1} ns/op (acc {acc})",
-            start.elapsed().as_nanos() as f64 / ops as f64
-        );
-    }
 
     #[test]
     fn pops_in_time_order() {
@@ -1105,7 +340,6 @@ mod tests {
 
     #[test]
     fn scheduling_earlier_than_the_last_pop_is_honoured() {
-        // The calendar cursor must not lose events scheduled "behind" it.
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(10), "late");
         q.schedule(SimTime::from_secs(20), "later");
@@ -1116,78 +350,6 @@ mod tests {
         assert_eq!(q.pop(), Some((SimTime::from_secs(1), "early")));
         assert_eq!(q.pop(), Some((SimTime::from_secs(20), "later")));
         assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn far_future_events_survive_the_overflow_path() {
-        // Events far beyond one wheel rotation (≈ 0.5 s) are parked in the
-        // overflow and must come back in exact order, including FIFO ties.
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(3600), 1u32);
-        q.schedule(SimTime::from_millis(1), 0);
-        q.schedule(SimTime::from_secs(3600), 2);
-        q.schedule(SimTime::from_secs(7200), 3);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 0)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(3600), 1)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(3600), 2)));
-        assert_eq!(q.pop(), Some((SimTime::from_secs(7200), 3)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn arena_recycles_slots_in_steady_state() {
-        // Hold model at a fixed resident size: after warm-up, the slab must
-        // stop growing — freed slots are reused, so steady-state scheduling
-        // allocates nothing.
-        let mut q = EventQueue::new();
-        for i in 0..64u64 {
-            q.schedule(SimTime::from_micros(i * 10), i);
-        }
-        let warm = q.arena.capacity();
-        for _ in 0..10_000 {
-            let (t, v) = q.pop().expect("hold model never drains");
-            q.schedule(t + SimDuration::from_micros(997), v);
-        }
-        assert_eq!(q.arena.capacity(), warm, "steady-state hold model must not grow the arena");
-    }
-
-    #[test]
-    fn batch_preserves_fifo_and_time_order() {
-        // A same-timestamp burst staged as a batch must interleave exactly
-        // like individual schedules: earlier schedules win ties.
-        let mut q = EventQueue::new();
-        let t = SimTime::from_millis(7);
-        q.schedule(t, 0u64);
-        let mut staged: Vec<(SimTime, u64)> =
-            vec![(t, 1), (SimTime::from_millis(3), 2), (t, 3), (SimTime::from_millis(9), 4)];
-        q.schedule_batch(&mut staged);
-        assert!(staged.is_empty(), "the batch drains the staging buffer");
-        q.schedule(t, 5);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(3), 2)));
-        assert_eq!(q.pop(), Some((t, 0)));
-        assert_eq!(q.pop(), Some((t, 1)));
-        assert_eq!(q.pop(), Some((t, 3)));
-        assert_eq!(q.pop(), Some((t, 5)));
-        assert_eq!(q.pop(), Some((SimTime::from_millis(9), 4)));
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn batch_on_an_empty_queue_rebases_like_a_single_schedule() {
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-        let mut a = vec![
-            (SimTime::from_secs(100), 0u64),
-            (SimTime::from_micros(3), 1),
-            (SimTime::from_secs(100), 2),
-        ];
-        let mut b = a.clone();
-        cal.schedule_batch(&mut a);
-        heap.schedule_batch(&mut b);
-        for _ in 0..3 {
-            assert_eq!(cal.pop(), heap.pop());
-        }
-        assert!(cal.is_empty());
     }
 
     #[test]
@@ -1239,6 +401,26 @@ mod tests {
         assert_eq!(q.active_trains(), 0);
         assert!(q.is_empty());
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn cancelling_one_train_leaves_the_others_in_order() {
+        let mut q: EventQueue<u8> = EventQueue::new();
+        let a = q.schedule_periodic(SimTime::from_millis(1), SimDuration::from_millis(3), 1);
+        q.schedule_periodic(SimTime::from_millis(2), SimDuration::from_millis(3), 2);
+        q.schedule_periodic(SimTime::from_millis(3), SimDuration::from_millis(3), 3);
+        assert_eq!(q.pop(), Some((SimTime::from_millis(1), 1)));
+        assert_eq!(q.cancel_train(a), Some(1));
+        let ticks: Vec<_> = (0..4).map(|_| q.pop().unwrap()).collect();
+        assert_eq!(
+            ticks,
+            vec![
+                (SimTime::from_millis(2), 2),
+                (SimTime::from_millis(3), 3),
+                (SimTime::from_millis(5), 2),
+                (SimTime::from_millis(6), 3),
+            ]
+        );
     }
 
     #[test]
@@ -1303,111 +485,5 @@ mod tests {
                 break;
             }
         }
-    }
-
-    /// Exhaustive randomized parity check: the calendar queue and the heap
-    /// queue must produce identical `(time, payload)` sequences under mixed
-    /// schedule/pop workloads with dense ties and sparse far jumps.
-    #[test]
-    fn calendar_and_heap_queues_pop_identically() {
-        for seed in 0..20u64 {
-            let mut rng = Rng::seed_from(0xE16 + seed);
-            let mut cal: EventQueue<u64> = EventQueue::new();
-            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-            let mut payload = 0u64;
-            for _ in 0..2_000 {
-                if rng.range_u64(0, 3) == 0 {
-                    assert_eq!(cal.pop(), heap.pop());
-                } else {
-                    // Mix of dense (µs apart), tied, and far-future times.
-                    let t = match rng.range_u64(0, 10) {
-                        0..=5 => rng.range_u64(0, 50_000),
-                        6..=7 => (rng.range_u64(0, 50) * 1_000) + 5_000,
-                        8 => rng.range_u64(0, 5_000_000),
-                        _ => rng.range_u64(0, 20_000_000_000),
-                    };
-                    cal.schedule(SimTime::from_micros(t), payload);
-                    heap.schedule(SimTime::from_micros(t), payload);
-                    payload += 1;
-                }
-                assert_eq!(cal.len(), heap.len());
-                assert_eq!(cal.next_time(), heap.next_time());
-            }
-            while let Some(expected) = heap.pop() {
-                assert_eq!(cal.pop(), Some(expected));
-            }
-            assert!(cal.is_empty());
-        }
-    }
-
-    /// Relative hold-model parity: new events are scheduled relative to the
-    /// popped time with a mix of tiny, tied, and huge deltas — the pattern
-    /// that drives the adaptive resize (and once exposed an overflow event
-    /// being passed by the wheel cursor).
-    #[test]
-    fn calendar_matches_heap_under_hold_model_with_resizes() {
-        for seed in 0..10u64 {
-            let mut rng = Rng::seed_from(0xCA1 + seed);
-            let mut cal: EventQueue<u64> = EventQueue::new();
-            let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-            cal.schedule(SimTime::from_millis(1), 0);
-            heap.schedule(SimTime::from_millis(1), 0);
-            let mut payload = 1u64;
-            for _ in 0..5_000 {
-                let expected = heap.pop();
-                assert_eq!(cal.pop(), expected);
-                let Some((t, _)) = expected else { break };
-                let fanout = rng.range_u64(0, 2);
-                for _ in 0..fanout {
-                    let delta = match rng.range_u64(0, 9) {
-                        0..=3 => rng.range_u64(0, 3),                     // ties / adjacent µs
-                        4..=6 => rng.range_u64(500, 2_000),               // same-ish bucket
-                        7 => rng.range_u64(100_000, 1_000_000),           // beyond the window
-                        _ => rng.range_u64(1_000_000_000, 5_000_000_000), // deep overflow
-                    };
-                    cal.schedule(t + SimDuration::from_micros(delta), payload);
-                    heap.schedule(t + SimDuration::from_micros(delta), payload);
-                    payload += 1;
-                }
-                assert_eq!(cal.next_time(), heap.next_time());
-            }
-        }
-    }
-
-    #[test]
-    fn heap_queue_baseline_contract() {
-        let mut q = HeapEventQueue::new();
-        assert_eq!(q.next_time(), None);
-        q.schedule(SimTime::from_millis(2), "b");
-        q.schedule(SimTime::from_millis(1), "a");
-        q.schedule(SimTime::from_millis(1), "a2");
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((SimTime::from_millis(1), "a")));
-        assert_eq!(q.pop_until(SimTime::from_millis(1)), Some((SimTime::from_millis(1), "a2")));
-        assert_eq!(q.pop_until(SimTime::from_millis(1)), None);
-        q.clear();
-        assert!(q.is_empty());
-    }
-
-    #[test]
-    fn heap_queue_trains_match_calendar_trains() {
-        let mut cal: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
-        let cal_id = cal.schedule_periodic(SimTime::from_millis(2), SimDuration::from_millis(3), 1);
-        let heap_id =
-            heap.schedule_periodic(SimTime::from_millis(2), SimDuration::from_millis(3), 1);
-        assert_eq!(cal_id, heap_id, "both queues allocate train ids identically");
-        for q_step in 0..20 {
-            assert_eq!(cal.next_time(), heap.next_time());
-            assert_eq!(cal.len(), heap.len());
-            if q_step == 7 {
-                assert!(cal.retune_train(cal_id, SimDuration::from_millis(9)));
-                assert!(heap.retune_train(heap_id, SimDuration::from_millis(9)));
-            }
-            assert_eq!(cal.pop(), heap.pop());
-        }
-        assert_eq!(cal.cancel_train(cal_id), heap.cancel_train(heap_id));
-        assert_eq!(cal.pop(), None);
-        assert_eq!(heap.pop(), None);
     }
 }

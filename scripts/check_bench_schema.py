@@ -5,12 +5,12 @@ CI runs this right after the quick-mode e16 harness.  It fails the build if
 
 * the file is missing a section or a required key (schema drift — somebody
   renamed a field and the dashboards downstream would silently go blank), or
-* the event core regressed below its pinned overhead budget:
-  ``event_queue.worst_speedup >= 2.0`` and the periodic-train fast path at
-  least matching the calendar one-shot baseline.
+* periodic trains stopped paying for themselves: on the 16-train workload,
+  train ticks/s must at least match the same tasks run as self-rescheduling
+  one-shots on the same queue (``periodic_trains.trains_vs_oneshots >= 1.0``).
 
-Quick-mode numbers are medians of three samples after a warmup (see the
-bench's module doc), so the 2.0 bar is meaningful rather than noise-gated.
+Quick-mode numbers are medians of three paired samples after a warmup (see
+the bench's module doc), so the bar is meaningful rather than noise-gated.
 
 Usage: check_bench_schema.py [path-to-BENCH_campaign.json]
 """
@@ -23,18 +23,15 @@ SCHEMA = {
     "event_queue": [
         "ops_per_workload",
         "samples",
-        "worst_speedup",
         "workloads",
     ],
     "periodic_trains": [
         "trains",
         "ops_per_workload",
         "samples",
-        "heap_ops_per_sec",
-        "calendar_ops_per_sec",
-        "fastpath_ops_per_sec",
-        "fastpath_vs_calendar",
-        "fastpath_vs_heap",
+        "oneshot_ops_per_sec",
+        "train_ops_per_sec",
+        "trains_vs_oneshots",
     ],
     "volume_campaign": [
         "runs",
@@ -77,7 +74,7 @@ SCHEMA = {
     ],
 }
 
-WORKLOAD_KEYS = ["resident", "heap_ops_per_sec", "calendar_ops_per_sec", "speedup"]
+WORKLOAD_KEYS = ["resident", "trains", "ops_per_sec"]
 
 
 def main() -> int:
@@ -108,20 +105,15 @@ def main() -> int:
             if not isinstance(wl, dict) or wl.get(key) is None:
                 errors.append(f"event_queue.workloads[{i}].{key} missing or null")
 
-    # Perf guard: the event-core overhead budget (see ARCHITECTURE.md,
-    # "Event core").  Bars match the full-mode asserts inside the bench.
+    # Perf guard: trains must pay for themselves (see ARCHITECTURE.md,
+    # "Event core").  The bar matches the full-mode assert inside the bench.
     if not errors:
-        eq = doc["event_queue"]
         pt = doc["periodic_trains"]
-        if eq["worst_speedup"] < 2.0:
+        if pt["trains_vs_oneshots"] < 1.0:
             errors.append(
-                f"event_queue.worst_speedup {eq['worst_speedup']:.2f} < 2.0: "
-                "the calendar queue lost its hold-model edge over the heap"
-            )
-        if pt["fastpath_ops_per_sec"] < pt["calendar_ops_per_sec"]:
-            errors.append(
-                f"periodic_trains fast path ({pt['fastpath_ops_per_sec']:.3e} ops/s) "
-                f"slower than calendar one-shots ({pt['calendar_ops_per_sec']:.3e} ops/s): "
+                f"periodic_trains.trains_vs_oneshots {pt['trains_vs_oneshots']:.2f} < 1.0: "
+                f"trains ({pt['train_ops_per_sec']:.3e} ticks/s) are slower than "
+                f"one-shots ({pt['oneshot_ops_per_sec']:.3e} ticks/s); "
                 "schedule_periodic no longer pays for itself"
             )
         for section in ("volume_campaign", "checkpointing", "telemetry"):
@@ -137,9 +129,8 @@ def main() -> int:
         return 1
 
     print(
-        f"BENCH_campaign.json ok: worst_speedup "
-        f"{doc['event_queue']['worst_speedup']:.2f}x, train fast path "
-        f"{doc['periodic_trains']['fastpath_vs_calendar']:.2f}x calendar"
+        f"BENCH_campaign.json ok: trains at "
+        f"{doc['periodic_trains']['trains_vs_oneshots']:.2f}x one-shots"
     )
     return 0
 

@@ -7,7 +7,81 @@ use karyon::net::end_to_end::{eventually_fifo, E2EConfig, EndToEndSession};
 use karyon::sensors::abstract_sensor::combine_outcomes;
 use karyon::sensors::detectors::{DetectionOutcome, DetectorClass};
 use karyon::sensors::{marzullo_fuse, weighted_fuse, Interval, Measurement, Validity};
-use karyon::sim::{EventQueue, HeapEventQueue, Rng, SimDuration, SimTime, TrainId};
+use karyon::sim::{EventQueue, Rng, SimDuration, SimTime, TrainId};
+
+/// The naive reference for [`EventQueue`]'s pop-order contract: one-shots in
+/// a `Vec` kept sorted by `(time, seq)` with linear insertion, trains in a
+/// `Vec` scanned linearly for the earliest `(next, seq)`.  A train takes one
+/// seq at registration, from the same counter as one-shots, and is
+/// identified here by that seq.
+#[derive(Default)]
+struct Oracle {
+    /// `(time, seq, payload)`, ascending by `(time, seq)`.
+    one_shots: Vec<(SimTime, u64, u64)>,
+    trains: Vec<OracleTrain>,
+    next_seq: u64,
+}
+
+struct OracleTrain {
+    seq: u64,
+    next: SimTime,
+    period: SimDuration,
+    payload: u64,
+}
+
+impl Oracle {
+    fn take_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq - 1
+    }
+
+    fn schedule(&mut self, time: SimTime, payload: u64) {
+        let seq = self.take_seq();
+        let at = self.one_shots.iter().position(|&(t, s, _)| (t, s) > (time, seq));
+        self.one_shots.insert(at.unwrap_or(self.one_shots.len()), (time, seq, payload));
+    }
+
+    fn schedule_periodic(&mut self, start: SimTime, period: SimDuration, payload: u64) -> u64 {
+        let seq = self.take_seq();
+        self.trains.push(OracleTrain { seq, next: start, period, payload });
+        seq
+    }
+
+    fn cancel_train(&mut self, seq: u64) -> Option<u64> {
+        let at = self.trains.iter().position(|t| t.seq == seq)?;
+        Some(self.trains.remove(at).payload)
+    }
+
+    fn retune_train(&mut self, seq: u64, period: SimDuration) {
+        let train = self.trains.iter_mut().find(|t| t.seq == seq).expect("live train");
+        train.period = period;
+    }
+
+    fn len(&self) -> usize {
+        self.one_shots.len() + self.trains.len()
+    }
+
+    fn next_time(&self) -> Option<SimTime> {
+        let ticks = self.trains.iter().map(|t| t.next);
+        self.one_shots.first().map(|&(t, _, _)| t).into_iter().chain(ticks).min()
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let one_shot = self.one_shots.first().map(|&(t, s, _)| (t, s));
+        match (one_shot, self.trains.iter_mut().min_by_key(|t| (t.next, t.seq))) {
+            (key, Some(train)) if key.map_or(true, |key| (train.next, train.seq) < key) => {
+                let time = train.next;
+                train.next = time + train.period;
+                Some((time, train.payload))
+            }
+            (Some(_), _) => {
+                let (time, _, payload) = self.one_shots.remove(0);
+                Some((time, payload))
+            }
+            (None, _) => None,
+        }
+    }
+}
 
 proptest! {
     /// The event queue always pops events in non-decreasing time order,
@@ -28,31 +102,30 @@ proptest! {
         prop_assert_eq!(popped, times.len());
     }
 
-    /// The calendar queue pops in exactly the same order as the `BinaryHeap`
-    /// baseline — including FIFO ties and far-future events crossing the
-    /// overflow/rebase and adaptive-resize paths — under random interleaved
-    /// schedule/pop workloads.
+    /// The event queue pops in exactly the same order as the sorted-`Vec`
+    /// oracle — including FIFO ties and far-future jumps — under random
+    /// interleaved schedule/pop workloads.
     #[test]
-    fn calendar_queue_matches_heap_queue_exactly(
+    fn event_queue_matches_the_sorted_vec_oracle(
         seed in any::<u64>(),
         ops in 50usize..400,
         pop_bias in 1u64..4,
     ) {
         let mut rng = Rng::seed_from(seed);
-        let mut calendar: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut oracle = Oracle::default();
         let mut payload = 0u64;
         let mut last_popped = SimTime::ZERO;
         for _ in 0..ops {
             if rng.range_u64(0, 3) < pop_bias {
-                let expected = heap.pop();
-                prop_assert_eq!(calendar.pop(), expected);
+                let expected = oracle.pop();
+                prop_assert_eq!(queue.pop(), expected);
                 if let Some((t, _)) = expected {
                     last_popped = t;
                 }
             } else {
-                // Times relative to the pop frontier: ties, near, beyond the
-                // wheel window, and deep overflow jumps.
+                // Times relative to the pop frontier: ties, near, far, and
+                // very far jumps.
                 let delta = match rng.range_u64(0, 9) {
                     0..=3 => rng.range_u64(0, 2),
                     4..=6 => rng.range_u64(10, 5_000),
@@ -60,116 +133,125 @@ proptest! {
                     _ => rng.range_u64(1_000_000_000, 30_000_000_000),
                 };
                 let t = last_popped + SimDuration::from_micros(delta);
-                calendar.schedule(t, payload);
-                heap.schedule(t, payload);
+                queue.schedule(t, payload);
+                oracle.schedule(t, payload);
                 payload += 1;
             }
-            prop_assert_eq!(calendar.len(), heap.len());
-            prop_assert_eq!(calendar.next_time(), heap.next_time());
+            prop_assert_eq!(queue.len(), oracle.len());
+            prop_assert_eq!(queue.next_time(), oracle.next_time());
         }
         loop {
-            let expected = heap.pop();
-            prop_assert_eq!(calendar.pop(), expected);
+            let expected = oracle.pop();
+            prop_assert_eq!(queue.pop(), expected);
             if expected.is_none() {
                 break;
             }
         }
-        prop_assert!(calendar.is_empty());
+        prop_assert!(queue.is_empty());
     }
 
-    /// Three-way identity, mixed workload: the calendar queue and the heap
-    /// baseline must stay pop-identical when periodic trains (created,
-    /// cancelled and retuned mid-run), one-shots and batch-staged
-    /// same-timestamp bursts interleave.  Train ids are allocated identically
-    /// by both queues, so one id drives both.
+    /// Mixed workload against the oracle: periodic trains (created,
+    /// cancelled and retuned mid-run, often on a shared millisecond grid so
+    /// ticks of different trains tie), one-shots and same-timestamp bursts
+    /// interleave, and the queue must stay pop-identical throughout.
     #[test]
-    fn trains_one_shots_and_bursts_stay_heap_identical(
+    fn trains_one_shots_and_bursts_match_the_oracle(
         seed in any::<u64>(),
         ops in 50usize..300,
     ) {
         let mut rng = Rng::seed_from(seed);
-        let mut calendar: EventQueue<u64> = EventQueue::new();
-        let mut heap: HeapEventQueue<u64> = HeapEventQueue::new();
+        let mut queue: EventQueue<u64> = EventQueue::new();
+        let mut oracle = Oracle::default();
         let mut payload = 0u64;
         let mut frontier = SimTime::ZERO;
-        let mut live: Vec<TrainId> = Vec::new();
+        // (queue id, oracle id) of every live train.
+        let mut live: Vec<(TrainId, u64)> = Vec::new();
         for _ in 0..ops {
             match rng.range_u64(0, 8) {
                 0..=2 => {
-                    let expected = heap.pop();
-                    prop_assert_eq!(calendar.pop(), expected);
+                    let expected = oracle.pop();
+                    prop_assert_eq!(queue.pop(), expected);
                     if let Some((t, _)) = expected {
                         frontier = t;
                     }
                 }
                 3..=4 => {
-                    // One-shot: tie with the frontier, near, or deep overflow.
+                    // One-shot: tie with the frontier, near, or far.
                     let delta = match rng.range_u64(0, 2) {
                         0 => 0,
                         1 => rng.range_u64(1, 4_000),
                         _ => rng.range_u64(1_000_000, 20_000_000_000),
                     };
                     let t = frontier + SimDuration::from_micros(delta);
-                    calendar.schedule(t, payload);
-                    heap.schedule(t, payload);
+                    queue.schedule(t, payload);
+                    oracle.schedule(t, payload);
                     payload += 1;
                 }
                 5 => {
-                    // Same-timestamp burst through the batch-staging path.
+                    // Same-timestamp burst, as a handler's staged fan-out.
                     let t = frontier + SimDuration::from_micros(rng.range_u64(0, 10_000));
-                    let mut a = Vec::new();
                     for _ in 0..rng.range_u64(2, 6) {
-                        a.push((t, payload));
+                        queue.schedule(t, payload);
+                        oracle.schedule(t, payload);
                         payload += 1;
                     }
-                    let mut b = a.clone();
-                    calendar.schedule_batch(&mut a);
-                    heap.schedule_batch(&mut b);
                 }
                 6 => {
                     if live.len() < 6 {
-                        let start = frontier + SimDuration::from_micros(rng.range_u64(0, 5_000));
-                        let period = SimDuration::from_micros(rng.range_u64(1, 3_000));
-                        let id = calendar.schedule_periodic(start, period, payload);
-                        prop_assert_eq!(heap.schedule_periodic(start, period, payload), id);
-                        live.push(id);
+                        // Half the trains sit on a 1 ms grid, so ticks of
+                        // different trains coincide and must tie-break by
+                        // creation order.
+                        let (start, period) = if rng.chance(0.5) {
+                            let grid = frontier.as_micros() / 1_000 * 1_000;
+                            (
+                                SimTime::from_micros(grid + 1_000 * rng.range_u64(0, 3)),
+                                SimDuration::from_micros(1_000 * rng.range_u64(1, 3)),
+                            )
+                        } else {
+                            (
+                                frontier + SimDuration::from_micros(rng.range_u64(0, 5_000)),
+                                SimDuration::from_micros(rng.range_u64(1, 3_000)),
+                            )
+                        };
+                        let id = queue.schedule_periodic(start, period, payload);
+                        live.push((id, oracle.schedule_periodic(start, period, payload)));
                         payload += 1;
                     }
                 }
                 7 => {
                     if !live.is_empty() {
                         let at = rng.range_u64(0, live.len() as u64 - 1) as usize;
-                        let id = live.swap_remove(at);
-                        prop_assert_eq!(calendar.cancel_train(id), heap.cancel_train(id));
+                        let (id, oracle_id) = live.swap_remove(at);
+                        prop_assert_eq!(queue.cancel_train(id), oracle.cancel_train(oracle_id));
                     }
                 }
                 _ => {
                     if !live.is_empty() {
                         let at = rng.range_u64(0, live.len() as u64 - 1) as usize;
                         let period = SimDuration::from_micros(rng.range_u64(1, 10_000));
-                        prop_assert_eq!(
-                            calendar.retune_train(live[at], period),
-                            heap.retune_train(live[at], period)
-                        );
+                        let (id, oracle_id) = live[at];
+                        prop_assert!(queue.retune_train(id, period));
+                        oracle.retune_train(oracle_id, period);
                     }
                 }
             }
-            prop_assert_eq!(calendar.len(), heap.len());
-            prop_assert_eq!(calendar.next_time(), heap.next_time());
+            prop_assert_eq!(queue.len(), oracle.len());
+            prop_assert_eq!(queue.active_trains(), oracle.trains.len());
+            prop_assert_eq!(queue.next_time(), oracle.next_time());
         }
         // Cancel the survivors (trains never drain on their own), then the
         // remaining one-shots must drain identically.
-        for id in live {
-            prop_assert_eq!(calendar.cancel_train(id), heap.cancel_train(id));
+        for (id, oracle_id) in live {
+            prop_assert_eq!(queue.cancel_train(id), oracle.cancel_train(oracle_id));
         }
         loop {
-            let expected = heap.pop();
-            prop_assert_eq!(calendar.pop(), expected);
+            let expected = oracle.pop();
+            prop_assert_eq!(queue.pop(), expected);
             if expected.is_none() {
                 break;
             }
         }
-        prop_assert!(calendar.is_empty());
+        prop_assert!(queue.is_empty());
     }
 
     /// The train fast path against its own semantic definition: a periodic

@@ -307,6 +307,26 @@ fn oversized_chunk_sizes_aggregate_cleanly() {
     assert_eq!(one.points[0].metrics["wild"].count, 20_000);
 }
 
+/// Regression: a point with more runs than the exact-quantile limit spills
+/// its samples into a derived-range histogram.  `avionics-rpv` reports
+/// `min_vertical_sep_m = f64::MAX` when the vertical separation never
+/// shrank, and the padded range used to overflow to infinity and panic the
+/// merge.
+#[test]
+fn avionics_points_past_the_exact_limit_aggregate_cleanly() {
+    let registry = builtin_registry();
+    // One run past the 4096-sample exact-quantile limit.
+    let replications = 4_097;
+    let report = Campaign::new("avionics-spill", 5)
+        .entry(CampaignEntry::new("avionics-rpv").replications(replications))
+        .with_threads(2)
+        .run(&registry)
+        .expect("avionics-rpv is registered");
+    let vertical = &report.points[0].metrics["min_vertical_sep_m"];
+    assert_eq!(vertical.count, replications);
+    assert!(vertical.p50.is_finite() && vertical.p99.is_finite());
+}
+
 // Registry coverage (ISSUE 5): every builtin family's default spec must
 // parse through the spec-file format (`ScenarioSpec::to_json` →
 // `from_json_str` round trip), run a 2-seed smoke campaign, and aggregate
