@@ -237,6 +237,9 @@ pub struct PointAccumulator {
 impl PointAccumulator {
     /// Streams one run's record into the point, in canonical run order.
     /// `range_for` supplies the family's pre-agreed metric ranges.
+    ///
+    /// A metric the point has seen before is looked up in place; its name
+    /// is copied only the first time it appears.
     pub fn record_run(
         &mut self,
         record: &RunRecord,
@@ -247,10 +250,14 @@ impl PointAccumulator {
             self.suspect_runs += 1;
         }
         for (name, value) in record.metrics() {
-            self.metrics
-                .entry(name.clone())
-                .or_insert_with(|| MetricAccumulator::new(range_for(name)))
-                .record(*value);
+            match self.metrics.get_mut(name) {
+                Some(acc) => acc.record(value),
+                None => {
+                    let mut acc = MetricAccumulator::new(range_for(name));
+                    acc.record(value);
+                    self.metrics.insert(name.to_string(), acc);
+                }
+            }
         }
     }
 

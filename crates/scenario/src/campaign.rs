@@ -1319,8 +1319,11 @@ impl Campaign {
         let start = (chunk * self.chunk_size) as u64;
         let end = (start + self.chunk_size as u64).min(total);
         let mut partial = ChunkPartial::new();
-        let mut records = Vec::new();
-        let mut traces = Vec::new();
+        // Sized for the whole chunk up front: the outputs wait in flight
+        // until the canonical-order merge reaches them.
+        let len = end.saturating_sub(start) as usize;
+        let mut records = Vec::with_capacity(if capture { len } else { 0 });
+        let mut traces = Vec::with_capacity(if tracing { len } else { 0 });
         let mut runs = 0u64;
         let mut completed = true;
         let mut point_index = point_of(points, start);
@@ -1337,13 +1340,14 @@ impl Campaign {
             }
             let point = &points[point_index];
             let spec = self.spec_for(point_index, point, run - point.first_run);
-            let record = if tracing {
+            let mut record = if tracing {
                 // The collection scope makes every `karyon_telemetry::trace`
                 // call inside the run land in this run's record list; the
                 // records contain only virtual-time data, so the list is a
                 // pure function of the spec.
-                let (record, run_trace) =
+                let (record, mut run_trace) =
                     trace::collect(|| run_one(&*families[point_index], &spec));
+                run_trace.shrink_to_fit();
                 traces.push((run, run_trace));
                 record?
             } else {
@@ -1353,6 +1357,7 @@ impl Campaign {
             partial.record_run(point_index, &record, &|metric| family.metric_range(metric));
             runs += 1;
             if capture {
+                record.shrink_to_fit();
                 records.push((run, record));
             }
         }

@@ -113,7 +113,7 @@ pub use json::JsonValue;
 pub use recovery::{Backoff, RecordedBackoff, Recovered, RetryPolicy, WallClockBackoff};
 pub use registry::{builtin_registry, FamilyInfo, ParamInfo, ScenarioRegistry};
 pub use report::{CampaignReport, MetricSummary, PointReport};
-pub use scenario::{RunRecord, Scenario};
+pub use scenario::{Metrics, MetricsIter, RunRecord, Scenario};
 pub use shard::{
     merge_shards, read_run_segment, read_trace_segment, validate_shard_set, ShardManifest,
     ShardPlan, ShardSlice,

@@ -1,6 +1,6 @@
 //! The `Scenario` trait and the per-run metric record.
 
-use std::collections::BTreeMap;
+use std::fmt;
 
 use karyon_sim::{Engine, SimTime};
 use karyon_telemetry::{trace, AttrValue};
@@ -12,16 +12,40 @@ use crate::spec::ScenarioSpec;
 ///
 /// Metrics are flat `name → f64` pairs so the campaign runner can aggregate
 /// any scenario family without knowing its result type; booleans are encoded
-/// as 0/1 (their mean over a sweep is then a rate).  The map is a `BTreeMap`
-/// so metric enumeration — and therefore report layout and JSON output — is
-/// deterministic.
-#[derive(Debug, Clone, PartialEq, Default)]
+/// as 0/1 (their mean over a sweep is then a rate).  Enumeration
+/// ([`RunRecord::metrics`]) is in sorted-name order, so report layout and
+/// JSON output are deterministic.
+///
+/// The record is compact because the campaign runner holds thousands of
+/// them in flight: all names share one string buffer, and the metrics are
+/// one vector of `(name span, value)` slots kept sorted by name.  A record
+/// therefore owns two allocations however many metrics it has, and
+/// overwriting a metric allocates nothing.
+#[derive(Clone, Default)]
 pub struct RunRecord {
-    metrics: BTreeMap<String, f64>,
+    /// Every metric name, concatenated in first-set order.
+    names: String,
+    /// One slot per metric, sorted by name.
+    slots: Vec<Slot>,
     /// Past-time schedules clamped by the simulation engine during this run
     /// (see `karyon_sim::Engine::clamped_schedules`).  A non-zero value marks
     /// the run as causality-suspect in the campaign report.
     pub clamped_schedules: u64,
+}
+
+/// One metric of a [`RunRecord`]: its name as a byte range of the record's
+/// name buffer, and its value.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    start: u32,
+    end: u32,
+    value: f64,
+}
+
+impl Slot {
+    fn name<'a>(&self, names: &'a str) -> &'a str {
+        &names[self.start as usize..self.end as usize]
+    }
 }
 
 impl RunRecord {
@@ -34,7 +58,17 @@ impl RunRecord {
     /// the aggregators, which keeps a broken metric visible in a single-run
     /// record without poisoning campaign statistics.
     pub fn set(&mut self, name: &str, value: f64) {
-        self.metrics.insert(name.to_string(), value);
+        let names = &self.names;
+        match self.slots.binary_search_by(|slot| slot.name(names).cmp(name)) {
+            Ok(index) => self.slots[index].value = value,
+            Err(index) => {
+                let offset = |at: usize| u32::try_from(at).expect("metric names exceed 4 GiB");
+                let start = offset(self.names.len());
+                self.names.push_str(name);
+                let end = offset(self.names.len());
+                self.slots.insert(index, Slot { start, end, value });
+            }
+        }
     }
 
     /// Sets a boolean metric as 0/1 (its campaign mean is a rate).
@@ -44,12 +78,22 @@ impl RunRecord {
 
     /// Looks up one metric.
     pub fn get(&self, name: &str) -> Option<f64> {
-        self.metrics.get(name).copied()
+        self.metrics().get(name)
     }
 
-    /// All metrics in deterministic (sorted-name) order.
-    pub fn metrics(&self) -> &BTreeMap<String, f64> {
-        &self.metrics
+    /// All metrics as a read-only view that iterates `(name, value)` pairs
+    /// in sorted-name (byte) order — the order of the JSONL `metrics`
+    /// object and of the report's metric rows.
+    pub fn metrics(&self) -> Metrics<'_> {
+        Metrics { names: &self.names, slots: &self.slots }
+    }
+
+    /// Drops spare capacity from the record's buffers.  The campaign runner
+    /// calls this before a record waits in a chunk for its turn at the
+    /// canonical-order merge.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.names.shrink_to_fit();
+        self.slots.shrink_to_fit();
     }
 
     /// Folds an engine's causality accounting into the record.
@@ -77,6 +121,95 @@ impl RunRecord {
                 ],
             );
         }
+    }
+}
+
+/// Equal when the clamp counts and the `(name, value)` sequences are equal,
+/// values compared as `f64` (so a NaN metric is never equal), exactly like
+/// a `BTreeMap<String, f64>` of the same metrics.
+impl PartialEq for RunRecord {
+    fn eq(&self, other: &Self) -> bool {
+        self.clamped_schedules == other.clamped_schedules
+            && self.metrics().iter().eq(other.metrics().iter())
+    }
+}
+
+impl fmt::Debug for RunRecord {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RunRecord")
+            .field("metrics", &self.metrics())
+            .field("clamped_schedules", &self.clamped_schedules)
+            .finish()
+    }
+}
+
+/// A read-only view of a [`RunRecord`]'s metrics, in sorted-name order.
+#[derive(Clone, Copy)]
+pub struct Metrics<'a> {
+    names: &'a str,
+    slots: &'a [Slot],
+}
+
+impl<'a> Metrics<'a> {
+    /// Number of metrics.
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// True when the record has no metrics.
+    pub fn is_empty(&self) -> bool {
+        self.slots.is_empty()
+    }
+
+    /// Looks up one metric.
+    pub fn get(&self, name: &str) -> Option<f64> {
+        let names = self.names;
+        let index = self.slots.binary_search_by(|slot| slot.name(names).cmp(name)).ok()?;
+        Some(self.slots[index].value)
+    }
+
+    /// `(name, value)` pairs in sorted-name order.
+    pub fn iter(&self) -> MetricsIter<'a> {
+        MetricsIter { names: self.names, slots: self.slots.iter() }
+    }
+
+    /// Metric names in sorted order.
+    pub fn keys(&self) -> impl Iterator<Item = &'a str> + 'a {
+        self.iter().map(|(name, _)| name)
+    }
+}
+
+impl<'a> IntoIterator for Metrics<'a> {
+    type Item = (&'a str, f64);
+    type IntoIter = MetricsIter<'a>;
+
+    fn into_iter(self) -> MetricsIter<'a> {
+        self.iter()
+    }
+}
+
+impl fmt::Debug for Metrics<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_map().entries(self.iter()).finish()
+    }
+}
+
+/// Iterator over a [`RunRecord`]'s `(name, value)` pairs, in sorted-name
+/// order (see [`RunRecord::metrics`]).
+pub struct MetricsIter<'a> {
+    names: &'a str,
+    slots: std::slice::Iter<'a, Slot>,
+}
+
+impl<'a> Iterator for MetricsIter<'a> {
+    type Item = (&'a str, f64);
+
+    fn next(&mut self) -> Option<(&'a str, f64)> {
+        self.slots.next().map(|slot| (slot.name(self.names), slot.value))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.slots.size_hint()
     }
 }
 

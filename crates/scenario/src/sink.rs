@@ -149,7 +149,7 @@ impl<W: Write> RunSink for JsonlRunWriter<W> {
         }
         let mut metrics = ObjectWriter::new();
         for (name, value) in record.metrics() {
-            metrics.f64(name, *value);
+            metrics.f64(name, value);
         }
         let mut line = ObjectWriter::new();
         line.u64("run", meta.run_index)

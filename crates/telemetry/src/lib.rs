@@ -13,7 +13,8 @@
 //!   and model-derived attributes, a run's trace is **bit-identical across
 //!   worker counts** and checkpoint/resume boundaries.  Tracing is off by
 //!   default; with no collector installed, [`trace::event`] is a single
-//!   thread-local flag check.
+//!   thread-local flag check.  Record names and attribute keys are a fixed
+//!   `&'static str` vocabulary, stored without copying.
 //! * [`metrics`] — a **unified metrics registry**: named counters, gauges and
 //!   [`BucketHistogram`](karyon_sim::BucketHistogram)-backed timers with one
 //!   snapshot/merge format ([`MetricsRegistry::to_json`],

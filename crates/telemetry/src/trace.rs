@@ -17,7 +17,7 @@
 //! an immediate return.
 
 use std::cell::RefCell;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::{self, Write};
 
 use karyon_sim::{Engine, EngineObserver, SimDuration, SimTime};
@@ -58,24 +58,24 @@ pub enum AttrValue {
 #[derive(Debug, Clone, PartialEq)]
 pub struct EventRecord {
     /// Record name, dot-namespaced (e.g. `engine.clamp`).
-    pub name: String,
+    pub name: &'static str,
     /// Simulated time of the occurrence.
     pub time: SimTime,
     /// Attributes, in emission order.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
 /// An interval in virtual time (e.g. the whole engine run of a scenario).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SpanRecord {
     /// Record name, dot-namespaced (e.g. `engine.run`).
-    pub name: String,
+    pub name: &'static str,
     /// Simulated start of the interval.
     pub start: SimTime,
     /// Simulated end of the interval.
     pub end: SimTime,
     /// Attributes, in emission order.
-    pub attrs: Vec<(String, AttrValue)>,
+    pub attrs: Vec<(&'static str, AttrValue)>,
 }
 
 /// One record of a run's trace: an [`EventRecord`] or a [`SpanRecord`].
@@ -89,10 +89,10 @@ pub enum TraceRecord {
 
 impl TraceRecord {
     /// The record's name.
-    pub fn name(&self) -> &str {
+    pub fn name(&self) -> &'static str {
         match self {
-            TraceRecord::Event(e) => &e.name,
-            TraceRecord::Span(s) => &s.name,
+            TraceRecord::Event(e) => e.name,
+            TraceRecord::Span(s) => s.name,
         }
     }
 
@@ -104,8 +104,9 @@ impl TraceRecord {
         }
     }
 
-    /// The record's attributes.
-    pub fn attrs(&self) -> &[(String, AttrValue)] {
+    /// The record's attributes, as `(key, value)` pairs in emission order.
+    /// Keys are `&'static str`s from the emitting code's fixed vocabulary.
+    pub fn attrs(&self) -> &[(&'static str, AttrValue)] {
         match self {
             TraceRecord::Event(e) => &e.attrs,
             TraceRecord::Span(s) => &s.attrs,
@@ -187,29 +188,30 @@ pub fn collect<R>(f: impl FnOnce() -> R) -> (R, Vec<TraceRecord>) {
 
 /// Emits an [`EventRecord`] into the active scope; a no-op when no scope is
 /// active.
-pub fn event(name: &str, time: SimTime, attrs: &[(&str, AttrValue)]) {
+///
+/// The name and the attribute keys are `&'static str`: the trace vocabulary
+/// is fixed in the emitting code (`engine.clamp`, `requested_us`, …), so a
+/// record stores them without copying, and its only allocation is the
+/// attribute list (none for an attribute-free event).  That matters because
+/// a campaign holds every in-flight run's records until the canonical merge
+/// reaches them.  Run-dependent data belongs in the attribute values.
+pub fn event(name: &'static str, time: SimTime, attrs: &[(&'static str, AttrValue)]) {
     SCOPE.with(|s| {
         if let Some(buf) = s.borrow_mut().as_mut() {
-            buf.push(TraceRecord::Event(EventRecord {
-                name: name.to_string(),
-                time,
-                attrs: attrs.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect(),
-            }));
+            buf.push(TraceRecord::Event(EventRecord { name, time, attrs: attrs.to_vec() }));
         }
     });
 }
 
 /// Emits a [`SpanRecord`] into the active scope; a no-op when no scope is
 /// active.
-pub fn span(name: &str, start: SimTime, end: SimTime, attrs: &[(&str, AttrValue)]) {
+///
+/// Like [`event`], the name and the attribute keys come from the fixed
+/// `&'static str` vocabulary and are stored without copying.
+pub fn span(name: &'static str, start: SimTime, end: SimTime, attrs: &[(&'static str, AttrValue)]) {
     SCOPE.with(|s| {
         if let Some(buf) = s.borrow_mut().as_mut() {
-            buf.push(TraceRecord::Span(SpanRecord {
-                name: name.to_string(),
-                start,
-                end,
-                attrs: attrs.iter().map(|(k, v)| ((*k).to_string(), v.clone())).collect(),
-            }));
+            buf.push(TraceRecord::Span(SpanRecord { name, start, end, attrs: attrs.to_vec() }));
         }
     });
 }
@@ -344,7 +346,7 @@ fn escape_into(out: &mut String, s: &str) {
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
             c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+                let _ = write!(out, "\\u{:04x}", c as u32);
             }
             c => out.push(c),
         }
@@ -355,13 +357,13 @@ fn escape_into(out: &mut String, s: &str) {
 /// `null` for non-finite ones (mirroring the run-sink convention).
 fn push_f64(out: &mut String, v: f64) {
     if v.is_finite() {
-        out.push_str(&format!("{v:?}"));
+        let _ = write!(out, "{v:?}");
     } else {
         out.push_str("null");
     }
 }
 
-fn push_attrs(out: &mut String, attrs: &[(String, AttrValue)]) {
+fn push_attrs(out: &mut String, attrs: &[(&'static str, AttrValue)]) {
     out.push_str(",\"attrs\":{");
     for (i, (key, value)) in attrs.iter().enumerate() {
         if i > 0 {
@@ -371,8 +373,12 @@ fn push_attrs(out: &mut String, attrs: &[(String, AttrValue)]) {
         escape_into(out, key);
         out.push_str("\":");
         match value {
-            AttrValue::U64(v) => out.push_str(&v.to_string()),
-            AttrValue::I64(v) => out.push_str(&v.to_string()),
+            AttrValue::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            AttrValue::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
             AttrValue::F64(v) => push_f64(out, *v),
             AttrValue::Text(v) => {
                 out.push('"');
@@ -403,12 +409,15 @@ pub struct JsonlTraceWriter<W: Write> {
     out: W,
     written: u64,
     error: Option<io::Error>,
+    /// Reused line buffer, so a run's lines cost no allocation once it has
+    /// grown to the longest line.
+    line: String,
 }
 
 impl<W: Write> JsonlTraceWriter<W> {
     /// Creates a writer over any `io::Write` (a file, a buffer, a pipe).
     pub fn new(out: W) -> Self {
-        JsonlTraceWriter { out, written: 0, error: None }
+        JsonlTraceWriter { out, written: 0, error: None, line: String::new() }
     }
 
     /// Number of lines written so far.
@@ -429,36 +438,42 @@ impl<W: Write> JsonlTraceWriter<W> {
 
 impl<W: Write> TraceSink for JsonlTraceWriter<W> {
     fn on_run_records(&mut self, coords: &RunCoords, records: &[TraceRecord]) {
-        if self.error.is_some() {
+        if self.error.is_some() || records.is_empty() {
             return;
         }
-        let mut line = String::with_capacity(160);
+        // One line buffer for the whole stream; the coordinates prefix is
+        // the same on every line of the run, so it is formatted once.
+        let line = &mut self.line;
+        line.clear();
+        let _ = write!(
+            line,
+            "{{\"run\":{},\"point\":{},\"replication\":{},\"seed\":{}",
+            coords.run_index, coords.point, coords.replication, coords.seed
+        );
+        let prefix = line.len();
         for record in records {
-            line.clear();
-            line.push_str(&format!(
-                "{{\"run\":{},\"point\":{},\"replication\":{},\"seed\":{}",
-                coords.run_index, coords.point, coords.replication, coords.seed
-            ));
+            line.truncate(prefix);
             match record {
                 TraceRecord::Event(e) => {
                     line.push_str(",\"kind\":\"event\",\"name\":\"");
-                    escape_into(&mut line, &e.name);
-                    line.push_str(&format!("\",\"t_us\":{}", e.time.as_micros()));
-                    push_attrs(&mut line, &e.attrs);
+                    escape_into(line, e.name);
+                    let _ = write!(line, "\",\"t_us\":{}", e.time.as_micros());
+                    push_attrs(line, &e.attrs);
                 }
                 TraceRecord::Span(s) => {
                     line.push_str(",\"kind\":\"span\",\"name\":\"");
-                    escape_into(&mut line, &s.name);
-                    line.push_str(&format!(
+                    escape_into(line, s.name);
+                    let _ = write!(
+                        line,
                         "\",\"start_us\":{},\"end_us\":{}",
                         s.start.as_micros(),
                         s.end.as_micros()
-                    ));
-                    push_attrs(&mut line, &s.attrs);
+                    );
+                    push_attrs(line, &s.attrs);
                 }
             }
-            line.push('}');
-            if let Err(error) = writeln!(self.out, "{line}") {
+            line.push_str("}\n");
+            if let Err(error) = self.out.write_all(line.as_bytes()) {
                 self.error = Some(error);
                 return;
             }
@@ -538,9 +553,9 @@ mod tests {
             .find(|r| r.name() == "engine.clamp")
             .expect("the past-time schedule must produce a clamp record");
         assert_eq!(clamp.time(), SimTime::from_millis(10));
-        let label = clamp.attrs().iter().find(|(k, _)| k == "label").unwrap();
+        let label = clamp.attrs().iter().find(|(k, _)| *k == "label").unwrap();
         assert_eq!(label.1, AttrValue::Text("Late(7)".to_string()));
-        let requested = clamp.attrs().iter().find(|(k, _)| k == "requested_us").unwrap();
+        let requested = clamp.attrs().iter().find(|(k, _)| *k == "requested_us").unwrap();
         assert_eq!(requested.1, AttrValue::U64(2_000));
     }
 
@@ -575,9 +590,9 @@ mod tests {
         let trains: Vec<_> = records.iter().filter(|r| r.name() == "engine.train").collect();
         assert_eq!(trains.len(), 1, "one record per registration, not per tick");
         assert_eq!(trains[0].time(), SimTime::from_millis(5));
-        let period = trains[0].attrs().iter().find(|(k, _)| k == "period_us").unwrap();
+        let period = trains[0].attrs().iter().find(|(k, _)| *k == "period_us").unwrap();
         assert_eq!(period.1, AttrValue::U64(2_000));
-        let label = trains[0].attrs().iter().find(|(k, _)| k == "label").unwrap();
+        let label = trains[0].attrs().iter().find(|(k, _)| *k == "label").unwrap();
         assert_eq!(label.1, AttrValue::Text("9".to_string()));
     }
 
@@ -593,21 +608,18 @@ mod tests {
         let coords = RunCoords { run_index: 3, point: 1, replication: 1, seed: 9 };
         let records = vec![
             TraceRecord::Event(EventRecord {
-                name: "engine.clamp".into(),
+                name: "engine.clamp",
                 time: SimTime::from_millis(5),
                 attrs: vec![
-                    ("requested_us".into(), AttrValue::U64(0)),
-                    ("label".into(), AttrValue::Text("Say(\"hi\n\")".into())),
+                    ("requested_us", AttrValue::U64(0)),
+                    ("label", AttrValue::Text("Say(\"hi\n\")".into())),
                 ],
             }),
             TraceRecord::Span(SpanRecord {
-                name: "engine.run".into(),
+                name: "engine.run",
                 start: SimTime::ZERO,
                 end: SimTime::from_millis(5),
-                attrs: vec![
-                    ("ratio".into(), AttrValue::F64(0.5)),
-                    ("bad".into(), AttrValue::F64(f64::NAN)),
-                ],
+                attrs: vec![("ratio", AttrValue::F64(0.5)), ("bad", AttrValue::F64(f64::NAN))],
             }),
         ];
         let emit = || {
@@ -645,11 +657,8 @@ mod tests {
             }
         }
         let coords = RunCoords { run_index: 0, point: 0, replication: 0, seed: 0 };
-        let records = vec![TraceRecord::Event(EventRecord {
-            name: "e".into(),
-            time: SimTime::ZERO,
-            attrs: vec![],
-        })];
+        let records =
+            vec![TraceRecord::Event(EventRecord { name: "e", time: SimTime::ZERO, attrs: vec![] })];
         let mut w = JsonlTraceWriter::new(Broken);
         w.on_run_records(&coords, &records);
         assert_eq!(w.written(), 0);

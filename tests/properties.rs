@@ -1,9 +1,12 @@
 //! Property-based tests (proptest) on the core data structures and
 //! invariants of the reproduction.
 
+use std::collections::BTreeMap;
+
 use proptest::prelude::*;
 
 use karyon::net::end_to_end::{eventually_fifo, E2EConfig, EndToEndSession};
+use karyon::scenario::RunRecord;
 use karyon::sensors::abstract_sensor::combine_outcomes;
 use karyon::sensors::detectors::{DetectionOutcome, DetectorClass};
 use karyon::sensors::{marzullo_fuse, weighted_fuse, Interval, Measurement, Validity};
@@ -408,5 +411,117 @@ proptest! {
         }
         session.run_until_drained(2_000_000);
         prop_assert!(eventually_fifo(&sent, session.receiver.delivered(), 0));
+    }
+}
+
+/// Metric names the `RunRecord` differential test draws from: literals that
+/// are byte-order neighbours, prefixes of one another, empty, upper-case and
+/// non-ASCII, so a sorting or slicing slip shows up as an order mismatch.
+const METRIC_NAMES: [&str; 10] =
+    ["", "a", "ab", "a.b", "a_b", "B", "b", "p99_ms", "z\u{e9}", "\u{e9}"];
+
+/// A metric name for draw `x`: a literal from [`METRIC_NAMES`] or a
+/// `format!`-built one, as families build per-class names.
+fn metric_name(x: u64) -> String {
+    if x % 3 == 0 {
+        format!("class{}_ratio", (x >> 8) % 5)
+    } else {
+        METRIC_NAMES[((x >> 8) % METRIC_NAMES.len() as u64) as usize].to_string()
+    }
+}
+
+/// A metric value for draw `x`, NaN now and then (a NaN metric makes records
+/// unequal, exactly as in a `BTreeMap<String, f64>`).
+fn metric_value(x: u64) -> f64 {
+    if (x >> 20) % 23 == 0 {
+        f64::NAN
+    } else {
+        ((x >> 24) % 10_000) as f64 / 7.0 - 500.0
+    }
+}
+
+/// Replays `ops` on a `RunRecord` and on the `BTreeMap<String, f64>` it
+/// replaced, checking every `get` against the oracle on the way.
+fn replay_metric_ops(
+    ops: &[u64],
+) -> Result<(RunRecord, BTreeMap<String, f64>), proptest::test_runner::TestCaseError> {
+    let mut record = RunRecord::new();
+    let mut oracle = BTreeMap::new();
+    for &op in ops {
+        let name = metric_name(op >> 4);
+        match op % 4 {
+            0 => {
+                let value = metric_value(op);
+                record.set(&name, value);
+                oracle.insert(name, value);
+            }
+            1 => {
+                let flag = (op >> 3) & 1 == 1;
+                record.set_flag(&name, flag);
+                oracle.insert(name, if flag { 1.0 } else { 0.0 });
+            }
+            2 => {
+                // Overwrite a metric already present, if any.
+                let Some(existing) = oracle.keys().nth((op >> 4) as usize % oracle.len().max(1))
+                else {
+                    continue;
+                };
+                let existing = existing.clone();
+                let value = metric_value(op.rotate_left(17));
+                record.set(&existing, value);
+                oracle.insert(existing, value);
+            }
+            _ => {
+                let got = record.get(&name);
+                let want = oracle.get(&name).copied();
+                prop_assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits));
+            }
+        }
+    }
+    Ok((record, oracle))
+}
+
+proptest! {
+    /// `RunRecord`'s flat sorted metric vector behaves exactly like the
+    /// `BTreeMap<String, f64>` it replaced: same lookups, same iteration
+    /// order and values (the JSONL and report byte order), and `PartialEq`
+    /// agrees with the maps' equality — including records built in another
+    /// insertion order and records carrying NaN.
+    #[test]
+    fn run_record_matches_the_btreemap_oracle(
+        ops in proptest::collection::vec(any::<u64>(), 0..80),
+        other_ops in proptest::collection::vec(any::<u64>(), 0..8),
+    ) {
+        let (record, oracle) = replay_metric_ops(&ops)?;
+        let seen: Vec<(String, u64)> =
+            record.metrics().iter().map(|(k, v)| (k.to_string(), v.to_bits())).collect();
+        let want: Vec<(String, u64)> =
+            oracle.iter().map(|(k, v)| (k.clone(), v.to_bits())).collect();
+        prop_assert_eq!(seen, want);
+        prop_assert_eq!(record.metrics().len(), oracle.len());
+        prop_assert_eq!(record.metrics().is_empty(), oracle.is_empty());
+        let keys: Vec<&str> = record.metrics().keys().collect();
+        let oracle_keys: Vec<&str> = oracle.keys().map(String::as_str).collect();
+        prop_assert_eq!(keys, oracle_keys);
+
+        // The same contents set in reverse order: another name-buffer
+        // layout, the same record.
+        let mut reversed = RunRecord::new();
+        for (name, value) in oracle.iter().rev() {
+            reversed.set(name, *value);
+        }
+        prop_assert_eq!(record == reversed, oracle == oracle.clone());
+
+        // An unrelated sequence, and the same sequence with a few more ops.
+        let (other, other_oracle) = replay_metric_ops(&other_ops)?;
+        prop_assert_eq!(record == other, oracle == other_oracle);
+        let extended: Vec<u64> = ops.iter().chain(&other_ops).copied().collect();
+        let (longer, longer_oracle) = replay_metric_ops(&extended)?;
+        prop_assert_eq!(record == longer, oracle == longer_oracle);
+
+        // The clamp count takes part in equality, as a plain field did.
+        let mut clamped = reversed.clone();
+        clamped.clamped_schedules += 1;
+        prop_assert!(record != clamped);
     }
 }

@@ -174,13 +174,13 @@ fn clamps_are_attributed_to_their_event_label() {
     let label = clamp
         .attrs()
         .iter()
-        .find(|(k, _)| k == "label")
+        .find(|(k, _)| *k == "label")
         .map(|(_, v)| v.clone())
         .expect("clamps carry the event's debug label");
     assert_eq!(label, AttrValue::Text("Step(1)".to_string()));
     let span = records.iter().find(|r| r.name() == "engine.run").expect("summary span");
     assert!(
-        span.attrs().iter().any(|(k, v)| k == "clamped" && *v == AttrValue::U64(1)),
+        span.attrs().iter().any(|(k, v)| *k == "clamped" && *v == AttrValue::U64(1)),
         "the engine.run span counts the clamp: {:?}",
         span.attrs()
     );
