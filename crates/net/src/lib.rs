@@ -17,6 +17,9 @@
 //! * [`pulse`] — self-stabilizing pulse/slot alignment under clock drift,
 //! * [`end_to_end`] — self-stabilizing end-to-end FIFO delivery over an
 //!   omitting, duplicating, reordering, bounded-capacity channel,
+//! * [`transport`] — [`SimTransport`], a seed-deterministic point-to-point
+//!   message fabric with per-link delay, jitter, drop, duplication,
+//!   reordering and scheduled partitions, replayable bit-for-bit,
 //! * [`topology`] — topology discovery and the 2f+1 vertex-disjoint-path
 //!   analysis needed for Byzantine-resilient dissemination (§V-C).
 //!
@@ -53,6 +56,7 @@ pub mod packet;
 pub mod pulse;
 pub mod r2tmac;
 pub mod topology;
+pub mod transport;
 
 pub use end_to_end::{
     eventually_fifo, E2EConfig, EndToEndSession, SelfStabReceiver, SelfStabSender,
@@ -67,3 +71,6 @@ pub use packet::{ports, Destination, Frame, NodeId};
 pub use pulse::{PulseSyncConfig, PulseSyncSim};
 pub use r2tmac::{R2TMac, R2TMacConfig};
 pub use topology::{Graph, TopologyDiscovery};
+pub use transport::{
+    Delivery, LinkConfig, PartitionWindow, SimNetEvent, SimNetState, SimTransport, TransportStats,
+};

@@ -734,22 +734,7 @@ impl Campaign {
         sink: Option<&mut dyn RunSink>,
         telemetry: CampaignTelemetry<'_>,
     ) -> Result<(CampaignOutcome, RunnerStats), String> {
-        let manifest = ckpt.load()?;
-        let (points, total_runs) = self.expand_points();
-        manifest.validate_for(self, total_runs, points.len(), self.canonical_chunks())?;
-        let start_chunk = manifest.chunks_done;
-        let accumulator = manifest.into_accumulator();
-        self.run_from(
-            registry,
-            sink,
-            Some(ckpt),
-            start_chunk,
-            None,
-            Some(accumulator),
-            telemetry,
-            None,
-            None,
-        )
+        self.resume_from(registry, ckpt, sink, telemetry, None)
     }
 
     /// Like [`Campaign::resume_with`], continuing under an armed
@@ -762,6 +747,20 @@ impl Campaign {
         sink: Option<&mut dyn RunSink>,
         telemetry: CampaignTelemetry<'_>,
         faults: &FaultInjector,
+    ) -> Result<(CampaignOutcome, RunnerStats), String> {
+        self.resume_from(registry, ckpt, sink, telemetry, Some(faults))
+    }
+
+    /// The body of [`Campaign::resume_with`] and [`Campaign::resume_chaos`]:
+    /// loads and validates the manifest, restores its accumulator and
+    /// continues from its watermark, under `faults` when armed.
+    fn resume_from(
+        &self,
+        registry: &ScenarioRegistry,
+        ckpt: &mut Checkpointer,
+        sink: Option<&mut dyn RunSink>,
+        telemetry: CampaignTelemetry<'_>,
+        faults: Option<&FaultInjector>,
     ) -> Result<(CampaignOutcome, RunnerStats), String> {
         let manifest = ckpt.load()?;
         let (points, total_runs) = self.expand_points();
@@ -776,7 +775,7 @@ impl Campaign {
             None,
             Some(accumulator),
             telemetry,
-            Some(faults),
+            faults,
             None,
         )
     }

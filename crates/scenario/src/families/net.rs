@@ -1,14 +1,15 @@
 //! Network-layer families: the self-stabilizing communication stack of paper
-//! §V-A (experiments e04–e07), plus the simulated campaign transport fabric.
+//! §V-A (experiments e04–e07), plus lossy point-to-point messaging over the
+//! simulated transport fabric.
 
 use karyon_net::mac::selfstab_tdma::allocation_is_collision_free;
 use karyon_net::{
     eventually_fifo, CsmaConfig, CsmaMac, Disturbance, E2EConfig, EndToEndSession,
-    InaccessibilityTracker, MacProtocol, MacSimConfig, MacSimulation, MediumConfig, NodeId,
-    PulseSyncConfig, PulseSyncSim, R2TMac, R2TMacConfig, SelfStabTdmaMac, WirelessMedium,
+    InaccessibilityTracker, LinkConfig, MacProtocol, MacSimConfig, MacSimulation, MediumConfig,
+    NodeId, PartitionWindow, PulseSyncConfig, PulseSyncSim, R2TMac, R2TMacConfig, SelfStabTdmaMac,
+    SimTransport, WirelessMedium,
 };
 use karyon_sim::{Engine, Rng, SimDuration, SimTime, Vec2};
-use karyon_transport::{LinkConfig, NetTransport, PartitionWindow, SimTransport};
 
 use crate::grid::ParamGrid;
 use crate::scenario::{RunRecord, Scenario};
@@ -450,15 +451,13 @@ impl Scenario for EndToEndScenario {
     }
 }
 
-/// The simulated campaign transport fabric under configurable degradation
-/// (ROADMAP item 4, de-risking item 1's distributed sharding): an all-to-all
-/// message workload over [`SimTransport`], measuring what survives per-link
+/// Lossy, partitioned point-to-point messaging: a ring message workload over
+/// `karyon-net`'s [`SimTransport`] fabric, measuring what survives per-link
 /// drop/duplication/reordering and an optional mid-run partition.
 ///
 /// Every metric is a pure function of `(seed, params)` — the fabric's
-/// determinism contract — so this family doubles as a campaign-level
-/// regression net for the transport crate: any worker count and any
-/// kill/resume history must aggregate the identical report.
+/// determinism contract — so any worker count and any kill/resume history
+/// must aggregate the identical report.
 pub struct NetTransportScenario;
 
 impl NetTransportScenario {
@@ -475,8 +474,7 @@ impl NetTransportScenario {
         if spec.bool_or("partition", false) {
             // Cut the fabric in half for the middle third of the workload.
             let rounds = spec.u64_or("messages", 40).max(1);
-            let (a, b): (Vec<_>, Vec<_>) =
-                (0..nodes).map(karyon_transport::NodeId).partition(|n| n.0 < nodes / 2);
+            let (a, b): (Vec<_>, Vec<_>) = (0..nodes).map(NodeId).partition(|n| n.0 < nodes / 2);
             net.add_partition(PartitionWindow {
                 from: SimTime::from_millis(rounds * 10 / 3),
                 until: SimTime::from_millis(rounds * 10 * 2 / 3),
@@ -528,11 +526,7 @@ impl Scenario for NetTransportScenario {
             deliveries.extend(net.advance_to(SimTime::from_millis(round * 10)));
             for src in 0..nodes {
                 let dst = (src + 1) % nodes;
-                net.send(
-                    karyon_transport::NodeId(src),
-                    karyon_transport::NodeId(dst),
-                    round.to_le_bytes().to_vec(),
-                );
+                net.send(NodeId(src), NodeId(dst), round.to_le_bytes().to_vec());
             }
         }
         deliveries.extend(net.drain());

@@ -4,9 +4,10 @@
 //! chunk reduces sequentially in canonical run order, and chunk partials merge
 //! in canonical chunk order — so *any* contiguous window of chunks can execute
 //! on its own machine, with its own worker count, and the global reduction is
-//! reassembled later.  This module is the coordination-free file/dir half of
-//! that protocol (the live [`ShardCoordinator`](../../karyon_transport/index.html)
-//! state machine in `karyon-transport` hands windows out over a network):
+//! reassembled later.  The protocol is coordination-free: shard sessions and
+//! the merge exchange nothing but files in a shared directory.
+//!
+//! The pieces:
 //!
 //! * [`ShardPlan`] — splits the `[0, chunks)` canonical range into
 //!   `shard_count` balanced, contiguous [`ShardSlice`]s;

@@ -7,9 +7,8 @@
 //! * [`telemetry`] — deterministic virtual-time tracing and the unified
 //!   wall-clock metrics registry (the campaign flight recorder)
 //! * [`sensors`] — abstract sensors, fault model, validity, fusion (paper §IV)
-//! * [`net`] — wireless medium, R2T-MAC, self-stabilizing TDMA, E2E FIFO (§V-A)
-//! * [`transport`] — message transport seam: loopback production fabric plus
-//!   the seed-deterministic [`transport::SimTransport`] used for fault drills
+//! * [`net`] — wireless medium, R2T-MAC, self-stabilizing TDMA, E2E FIFO (§V-A),
+//!   and the seed-deterministic [`net::SimTransport`] message fabric
 //! * [`middleware`] — FAMOUSO-style event channels with QoS (§V-B)
 //! * [`core`] — the safety kernel: Levels of Service, safety rules, safety
 //!   manager, cooperation state (§III, §V-C)
@@ -50,5 +49,4 @@ pub use karyon_scenario as scenario;
 pub use karyon_sensors as sensors;
 pub use karyon_sim as sim;
 pub use karyon_telemetry as telemetry;
-pub use karyon_transport as transport;
 pub use karyon_vehicles as vehicles;

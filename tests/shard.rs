@@ -1,42 +1,28 @@
-//! Shard/merge determinism properties plus the DST shard-handoff drills.
+//! Shard/merge determinism properties.
 //!
-//! Part 1 — the flagship byte-identity property: a campaign split into an
-//! arbitrary shard plan, each shard run in its own "session" with its own
-//! worker count, the manifests round-tripped through disk and merged in an
+//! The flagship byte-identity property: a campaign split into an arbitrary
+//! shard plan, each shard run in its own "session" with its own worker
+//! count, the manifests round-tripped through disk and merged in an
 //! arbitrary presentation order, must reproduce the single-machine report,
-//! JSONL stream and trace stream **byte for byte**.
-//!
-//! Part 2 — deterministic-simulation drills of the [`ShardCoordinator`]
-//! handoff protocol over [`SimTransport`]: lossy/partitioned fabric,
-//! `FaultPlan`-driven worker deaths, lease-timeout reassignment.  The drills
-//! assert the protocol's safety net end to end — every shard completes
-//! exactly once in the merge log, an expired lease is reassigned exactly
-//! once, duplicated or stale completions never double-merge — and that the
-//! report merged from the drill's surviving artifacts is byte-identical to
-//! the uninterrupted single-machine reference with `suspect_runs == 0`.  A
-//! seed-replay property pins the whole delivery interleaving: the same seeds
-//! replay the same history, message for message.
+//! JSONL stream and trace stream **byte for byte**.  A shard is also the
+//! unit of retry: a shard session killed by a `FaultPlan` worker death fails
+//! with an injected-fault error, and rerunning the same window merges to
+//! the same bytes.
 
-use std::collections::HashMap;
 use std::fs;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 
-use karyon::scenario::aggregate::ChunkPartial;
 use karyon::scenario::fault::is_injected;
 use karyon::scenario::{
     merge_shards, read_run_segment, read_trace_segment, Campaign, CampaignEntry, CampaignTelemetry,
-    Fault, FaultInjector, FaultPlan, JsonlRunWriter, ParamGrid, RunRecord, Scenario,
-    ScenarioRegistry, ScenarioSpec, ShardManifest, ShardPlan,
+    Fault, FaultPlan, JsonlRunWriter, ParamGrid, RunRecord, Scenario, ScenarioRegistry,
+    ScenarioSpec, ShardManifest, ShardPlan,
 };
-use karyon::sim::{splitmix64, SimDuration, SimTime};
+use karyon::sim::{splitmix64, SimTime};
 use karyon::telemetry::{trace, AttrValue, JsonlTraceWriter};
-use karyon::transport::{
-    Delivery, MergeRecord, NetTransport, NodeId, PartitionWindow, ShardCoordinator, ShardMsg,
-    SimTransport,
-};
 
 /// The adversarial scenario from the checkpoint suite: a pre-agreed-range
 /// metric, a wild-range metric (exact-until-spill quantiles), an absent-some
@@ -78,35 +64,9 @@ impl Scenario for Noise {
     }
 }
 
-/// A clean deterministic scenario for the coordinator drills: every metric
-/// always present and finite, so the merged report must carry
-/// `suspect_runs == 0`.
-struct Drill;
-
-impl Scenario for Drill {
-    fn name(&self) -> &str {
-        "drill"
-    }
-
-    fn metric_range(&self, metric: &str) -> Option<(f64, f64)> {
-        (metric == "latency").then_some((0.0, 1.0))
-    }
-
-    fn run(&self, spec: &ScenarioSpec) -> RunRecord {
-        let mut state = spec.seed;
-        let a = splitmix64(&mut state);
-        let b = splitmix64(&mut state);
-        let mut record = RunRecord::new();
-        record.set("latency", (a >> 11) as f64 / (1u64 << 53) as f64);
-        record.set("value", (b % 10_000) as f64);
-        record
-    }
-}
-
 fn registry() -> ScenarioRegistry {
     let mut registry = ScenarioRegistry::new();
     registry.register(Arc::new(Noise));
-    registry.register(Arc::new(Drill));
     registry
 }
 
@@ -120,14 +80,6 @@ fn noise_campaign(seed: u64, replications: u64, chunk_size: usize, threads: usiz
     Campaign::new("shard-prop", seed).with_chunk_size(chunk_size).with_threads(threads).entry(
         CampaignEntry::new("noise")
             .grid(ParamGrid::new().axis("scale", [1.0, 2.5]))
-            .replications(replications),
-    )
-}
-
-fn drill_campaign(seed: u64, replications: u64, chunk_size: usize) -> Campaign {
-    Campaign::new("drill", seed).with_chunk_size(chunk_size).with_threads(1).entry(
-        CampaignEntry::new("drill")
-            .grid(ParamGrid::new().axis("load", [0.5, 1.5]))
             .replications(replications),
     )
 }
@@ -235,389 +187,44 @@ proptest! {
     }
 }
 
-// --- The DST shard-handoff drill harness -----------------------------------
+/// A shard session killed by a `FaultPlan` worker death fails with an
+/// injected-fault error, and rerunning the same window (the shard is the
+/// unit of retry) yields partials that merge byte-identically to the
+/// single-machine report.
+#[test]
+fn a_fault_killed_shard_reruns_and_merges_byte_identically() {
+    let registry = registry();
+    let campaign = noise_campaign(4242, 12, 3, 2);
+    let expected = campaign.run(&registry).expect("reference runs");
+    let plan = ShardPlan::for_campaign(&campaign, 3);
+    let victim = plan.slice(1);
+    assert!(victim.start_chunk < victim.end_chunk, "the middle shard owns chunks");
+    let faults =
+        FaultPlan::new().with(Fault::WorkerDeath { at_chunk: victim.start_chunk + 1 }).injector();
 
-const COORD: NodeId = NodeId(0);
+    let error = campaign
+        .run_shard_with(
+            &registry,
+            victim.start_chunk,
+            victim.end_chunk,
+            None,
+            CampaignTelemetry::none(),
+            Some(&faults),
+        )
+        .expect_err("the worker death lands inside the shard's window");
+    assert!(is_injected(&error), "the failure is the injected fault: {error}");
 
-fn tick() -> SimDuration {
-    SimDuration::from_millis(10)
-}
-fn lease() -> SimDuration {
-    SimDuration::from_millis(400)
-}
-fn claim_retry() -> SimDuration {
-    SimDuration::from_millis(50)
-}
-fn per_chunk_work() -> SimDuration {
-    SimDuration::from_millis(20)
-}
-
-enum WorkerState {
-    Idle,
-    Waiting { since: SimTime },
-    Working { shard: usize, attempt: u32, start: usize, end: usize, until: SimTime },
-    Dead,
-    Stopped,
-}
-
-struct Worker {
-    node: NodeId,
-    state: WorkerState,
-    /// `FaultPlan`-armed injector: this worker dies mid-shard the first time
-    /// it executes a window one of the plan's worker-death faults lands in.
-    injector: Option<FaultInjector>,
-}
-
-/// Everything one drill produced, sufficient both for the protocol
-/// assertions and for the seed-replay comparison (`history` records every
-/// delivery plus the terminal counters, message for message).
-struct DrillOutcome {
-    merge_log: Vec<MergeRecord>,
-    reassignments: u64,
-    ignored_completes: u64,
-    dead_workers: Vec<u32>,
-    /// Chunk partials per completed execution, keyed by (worker, shard).
-    partials: HashMap<(u32, usize), Vec<ChunkPartial>>,
-    history: Vec<String>,
-}
-
-/// Runs one complete shard-handoff drill: `worker_count` workers claim the
-/// campaign's `shard_count`-way plan from a coordinator over a seeded
-/// [`SimTransport`], with optional scheduled partitions and `FaultPlan`-driven
-/// worker deaths, until every shard is in the merge log.
-fn run_drill(
-    campaign: &Campaign,
-    registry: &ScenarioRegistry,
-    shard_count: usize,
-    worker_count: usize,
-    net_seed: u64,
-    death_plans: &HashMap<u32, FaultPlan>,
-    partitions: &[PartitionWindow],
-) -> DrillOutcome {
-    let plan = ShardPlan::for_campaign(campaign, shard_count);
-    let windows: Vec<(usize, usize)> =
-        plan.slices().iter().map(|s| (s.start_chunk, s.end_chunk)).collect();
-
-    let mut net = SimTransport::new(net_seed);
-    for window in partitions {
-        net.add_partition(window.clone());
-    }
-    let mut coordinator = ShardCoordinator::new(COORD, &windows, lease());
-    let mut workers: Vec<Worker> = (1..=worker_count as u32)
-        .map(|id| Worker {
-            node: NodeId(id),
-            state: WorkerState::Idle,
-            injector: death_plans.get(&id).map(FaultPlan::injector),
-        })
-        .collect();
-    let mut partials: HashMap<(u32, usize), Vec<ChunkPartial>> = HashMap::new();
-    let mut history = Vec::new();
-
-    let mut ticks = 0u32;
-    while !coordinator.is_complete() {
-        ticks += 1;
-        assert!(ticks < 4_000, "the drill must converge (stalled after {ticks} ticks)");
-        let deadline = net.now() + tick();
-        for delivery in net.advance_to(deadline) {
-            history.push(format!(
-                "{}->{} @{}us {:?} dup={}",
-                delivery.src.0,
-                delivery.dst.0,
-                delivery.delivered_at.as_micros(),
-                String::from_utf8_lossy(&delivery.payload),
-                delivery.duplicate,
-            ));
-            if delivery.dst == COORD {
-                coordinator.on_delivery(&delivery, &mut net);
-            } else if let Some(worker) = workers.iter_mut().find(|w| w.node == delivery.dst) {
-                worker_on_delivery(worker, &delivery, &mut net);
-            }
-        }
-        coordinator.on_tick(&mut net);
-        for worker in &mut workers {
-            worker_act(worker, campaign, registry, &mut partials, &mut net, &mut history);
-        }
-    }
-    // Let the fabric settle so the replay comparison also covers stragglers
-    // (late duplicates, completes racing the final grant).
-    for delivery in net.drain() {
-        history.push(format!(
-            "{}->{} @{}us {:?} dup={} (post)",
-            delivery.src.0,
-            delivery.dst.0,
-            delivery.delivered_at.as_micros(),
-            String::from_utf8_lossy(&delivery.payload),
-            delivery.duplicate,
-        ));
-        if delivery.dst == COORD {
-            coordinator.on_delivery(&delivery, &mut net);
-        }
-    }
-    let stats = net.stats();
-    history.push(format!(
-        "end: reassigned={} ignored={} stats={stats:?}",
-        coordinator.reassignments(),
-        coordinator.ignored_completes(),
-    ));
-
-    DrillOutcome {
-        merge_log: coordinator.merge_log().to_vec(),
-        reassignments: coordinator.reassignments(),
-        ignored_completes: coordinator.ignored_completes(),
-        dead_workers: workers
-            .iter()
-            .filter(|w| matches!(w.state, WorkerState::Dead))
-            .map(|w| w.node.0)
-            .collect(),
-        partials,
-        history,
-    }
-}
-
-fn worker_on_delivery(worker: &mut Worker, delivery: &Delivery, net: &mut dyn NetTransport) {
-    let Ok(msg) = ShardMsg::decode(&delivery.payload) else { return };
-    match (&worker.state, msg) {
-        (WorkerState::Dead | WorkerState::Stopped, _) => {}
-        (_, ShardMsg::Done) => worker.state = WorkerState::Stopped,
-        (
-            WorkerState::Idle | WorkerState::Waiting { .. },
-            ShardMsg::Grant { shard, start_chunk, end_chunk, attempt, .. },
-        ) => {
-            let work = per_chunk_work().saturating_mul((end_chunk - start_chunk) as u64);
-            worker.state = WorkerState::Working {
-                shard,
-                attempt,
-                start: start_chunk,
-                end: end_chunk,
-                until: net.now() + work,
-            };
-        }
-        (WorkerState::Idle | WorkerState::Waiting { .. }, ShardMsg::Idle) => {
-            // Nothing to do right now: back off one claim-retry interval.
-            worker.state = WorkerState::Waiting { since: net.now() };
-        }
-        // A duplicate grant while already working, or any stray message:
-        // ignore — the protocol must tolerate fabric noise.
-        _ => {}
-    }
-}
-
-fn worker_act(
-    worker: &mut Worker,
-    campaign: &Campaign,
-    registry: &ScenarioRegistry,
-    partials: &mut HashMap<(u32, usize), Vec<ChunkPartial>>,
-    net: &mut dyn NetTransport,
-    history: &mut Vec<String>,
-) {
-    match worker.state {
-        WorkerState::Idle => {
-            net.send(worker.node, COORD, ShardMsg::Claim { worker: worker.node }.encode());
-            worker.state = WorkerState::Waiting { since: net.now() };
-        }
-        WorkerState::Waiting { since } => {
-            // Claims and grants can be severed by partitions: retry.
-            if net.now().since(since) >= claim_retry() {
-                net.send(worker.node, COORD, ShardMsg::Claim { worker: worker.node }.encode());
-                worker.state = WorkerState::Waiting { since: net.now() };
-            }
-        }
-        WorkerState::Working { shard, attempt, start, end, until } => {
-            if net.now() < until {
-                return;
-            }
-            // The simulated work interval has elapsed: execute the window
-            // for real.  A `FaultPlan` worker-death fault landing in the
-            // window kills this worker mid-shard — it never completes, and
-            // its lease must expire and be reassigned.
-            match campaign.run_shard_with(
-                registry,
-                start,
-                end,
-                None,
-                CampaignTelemetry::none(),
-                worker.injector.as_ref(),
-            ) {
-                Ok((chunks, _)) => {
-                    partials.insert((worker.node.0, shard), chunks);
-                    net.send(
-                        worker.node,
-                        COORD,
-                        ShardMsg::Complete { worker: worker.node, shard, attempt }.encode(),
-                    );
-                    worker.state = WorkerState::Idle;
-                }
-                Err(error) => {
-                    assert!(is_injected(&error), "only injected faults kill workers: {error}");
-                    history.push(format!(
-                        "worker {} died on shard {shard} attempt {attempt}: {error}",
-                        worker.node.0
-                    ));
-                    worker.state = WorkerState::Dead;
-                }
-            }
-        }
-        WorkerState::Dead | WorkerState::Stopped => {}
-    }
-}
-
-/// A fault plan that kills its worker on the *first* window it executes,
-/// whichever shard the coordinator happens to grant it: one worker-death
-/// fault per canonical chunk (each one-shot, only the first ever fires).
-fn die_on_first_window(chunks: usize) -> FaultPlan {
-    let mut plan = FaultPlan::new();
-    for chunk in 0..chunks {
-        plan = plan.with(Fault::WorkerDeath { at_chunk: chunk });
-    }
-    plan
-}
-
-/// Rebuilds the shard manifests the drill's merge log points at — each from
-/// the accepted completer's recorded partials — and merges them.
-fn merge_drill(
-    campaign: &Campaign,
-    shard_count: usize,
-    outcome: &DrillOutcome,
-) -> karyon::scenario::CampaignReport {
-    let plan = ShardPlan::for_campaign(campaign, shard_count);
-    let manifests: Vec<ShardManifest> = outcome
-        .merge_log
+    let manifests: Vec<ShardManifest> = plan
+        .slices()
         .iter()
-        .map(|record| {
-            let chunks = outcome
-                .partials
-                .get(&(record.worker.0, record.shard))
-                .expect("the accepted completer recorded its partials")
-                .clone();
-            ShardManifest::new(campaign, plan.slice(record.shard), chunks)
-                .expect("drill partials fit their windows")
+        .map(|slice| {
+            let (partials, _) = campaign
+                .run_shard(&registry, slice.start_chunk, slice.end_chunk, None)
+                .expect("clean shard sessions run");
+            ShardManifest::new(&campaign, *slice, partials).expect("partials fit the slice")
         })
         .collect();
-    merge_shards(campaign, manifests).expect("the drill's shard set merges")
-}
-
-/// The focused lease-expiry drill: two workers, three shards, worker 1 dies
-/// mid-shard on its first window (FaultPlan-driven).  Its lease must expire
-/// and be reassigned **exactly once**, the late-arriving ghost completion
-/// must never double-merge, and the merged report must be byte-identical to
-/// the single-machine reference with zero suspect runs.
-#[test]
-fn a_dead_workers_lease_is_reassigned_exactly_once_over_the_simulated_fabric() {
-    let registry = registry();
-    let campaign = drill_campaign(4242, 30, 4);
-    let chunks = campaign.canonical_chunks();
-    let expected = campaign.run(&registry).expect("reference runs");
-
-    let deaths = HashMap::from([(1u32, die_on_first_window(chunks))]);
-    let outcome = run_drill(&campaign, &registry, 3, 2, 77, &deaths, &[]);
-
-    assert_eq!(outcome.dead_workers, vec![1], "worker 1 dies on its first window");
-    assert_eq!(outcome.reassignments, 1, "exactly one lease expiry: the dead worker's");
-    let mut shards: Vec<usize> = outcome.merge_log.iter().map(|r| r.shard).collect();
-    shards.sort_unstable();
-    assert_eq!(shards, vec![0, 1, 2], "every shard completes exactly once");
-    assert!(
-        outcome.merge_log.iter().all(|r| r.worker == NodeId(2)),
-        "only the surviving worker's completions are accepted: {:?}",
-        outcome.merge_log
-    );
-    let reassigned: Vec<&MergeRecord> =
-        outcome.merge_log.iter().filter(|r| r.attempt == 2).collect();
-    assert_eq!(reassigned.len(), 1, "exactly one shard needed a second attempt");
-
-    let merged = merge_drill(&campaign, 3, &outcome);
+    let merged = merge_shards(&campaign, manifests).expect("a complete set merges");
     assert_eq!(merged, expected);
     assert_eq!(merged.to_json(), expected.to_json());
-    assert_eq!(merged.suspect_runs(), 0);
-}
-
-/// The full chaos drill: three workers, five shards, one FaultPlan-driven
-/// worker death, plus a partition window severing another worker from the
-/// coordinator — dropping claims, grants and completions on the floor.  The
-/// protocol must still converge with every shard merged exactly once and the
-/// merged report byte-identical to the reference.
-#[test]
-fn the_handoff_protocol_survives_partitions_and_a_worker_death() {
-    let registry = registry();
-    let campaign = drill_campaign(910, 40, 4);
-    let chunks = campaign.canonical_chunks();
-    let expected = campaign.run(&registry).expect("reference runs");
-
-    let deaths = HashMap::from([(2u32, die_on_first_window(chunks))]);
-    let partition = PartitionWindow {
-        from: SimTime::from_millis(40),
-        until: SimTime::from_millis(260),
-        group_a: vec![COORD],
-        group_b: vec![NodeId(3)],
-    };
-    let outcome = run_drill(&campaign, &registry, 5, 3, 123, &deaths, &[partition]);
-
-    assert_eq!(outcome.dead_workers, vec![2]);
-    assert!(outcome.reassignments >= 1, "the dead worker's lease must expire");
-    let mut shards: Vec<usize> = outcome.merge_log.iter().map(|r| r.shard).collect();
-    shards.sort_unstable();
-    assert_eq!(shards, vec![0, 1, 2, 3, 4], "each shard exactly once, never double-merged");
-
-    let merged = merge_drill(&campaign, 5, &outcome);
-    assert_eq!(merged, expected);
-    assert_eq!(merged.to_json(), expected.to_json());
-    assert_eq!(merged.suspect_runs(), 0);
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Seed-replay determinism of the whole drill: the same (net seed,
-    /// topology, death plan, partition schedule) replays the identical
-    /// delivery history message for message, the identical merge log, and a
-    /// merged report byte-identical to the single-machine reference.
-    #[test]
-    fn drill_interleavings_replay_bit_identically_from_their_seeds(
-        net_seed in 0u64..100_000,
-        campaign_seed in 0u64..10_000,
-        worker_count in 2usize..5,
-        shard_count in 1usize..7,
-        death_sel in 0usize..6,
-        partition_from_ms in 0u64..200,
-        partition_len_ms in 0u64..300,
-    ) {
-        let registry = registry();
-        let campaign = drill_campaign(campaign_seed, 16, 3);
-        let chunks = campaign.canonical_chunks();
-        let expected = campaign.run(&registry).expect("reference runs");
-
-        // At most one death, always leaving a survivor.
-        let mut deaths = HashMap::new();
-        if death_sel < worker_count {
-            deaths.insert(1 + death_sel as u32, die_on_first_window(chunks));
-        }
-        // Partition an arbitrary worker (possibly the dying one) from the
-        // coordinator for a bounded window.
-        let partitions = vec![PartitionWindow {
-            from: SimTime::from_millis(partition_from_ms),
-            until: SimTime::from_millis(partition_from_ms + partition_len_ms),
-            group_a: vec![COORD],
-            group_b: vec![NodeId(1 + (net_seed % worker_count as u64) as u32)],
-        }];
-
-        let first = run_drill(
-            &campaign, &registry, shard_count, worker_count, net_seed, &deaths, &partitions,
-        );
-        let second = run_drill(
-            &campaign, &registry, shard_count, worker_count, net_seed, &deaths, &partitions,
-        );
-        prop_assert_eq!(&first.history, &second.history);
-        prop_assert_eq!(&first.merge_log, &second.merge_log);
-        prop_assert_eq!(first.reassignments, second.reassignments);
-        prop_assert_eq!(first.ignored_completes, second.ignored_completes);
-
-        // Safety invariants hold for every sampled interleaving.
-        let mut shards: Vec<usize> = first.merge_log.iter().map(|r| r.shard).collect();
-        shards.sort_unstable();
-        prop_assert_eq!(&shards, &(0..shard_count).collect::<Vec<_>>());
-        let merged = merge_drill(&campaign, shard_count, &first);
-        prop_assert_eq!(&merged, &expected);
-        prop_assert_eq!(merged.to_json(), expected.to_json());
-        prop_assert_eq!(merged.suspect_runs(), 0);
-    }
 }
